@@ -12,7 +12,8 @@ per-granule maximum of 1 (normalized_granule_invariants), the weighting
 the cv fold fit uses. On the same rows, train with the flags of a cv
 configuration (--clusters m, --gamma 1/C, --kernel, --delta, --seed,
 --restarts, uniform measure) writes exactly the model that the cv fold
-pipeline fits.
+pipeline fits. It prints the objective and gradient_norm, the exact norm
+of the objective's gradient at the returned solution.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """

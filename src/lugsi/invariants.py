@@ -103,19 +103,35 @@ def v_value(point, measure: MeasureSpec) -> float:
     return float(_v_values(point[None, :], measure)[0])
 
 
+def _granule_invariants(
+    data: Dataset, granulation: Granulation, measure: MeasureSpec | None, weight
+) -> list[GranuleInvariant]:
+    """One GranuleInvariant per granule, v entries ordered by member index.
+
+    `weight` maps a granule's v-values under `measure` (all ones when the
+    measure is None) to its v vector; the target is v^T Y_k.
+    """
+    if granulation.assignments.shape[0] != data.l:
+        raise DataError("granulation does not match the dataset")
+    values = np.ones(data.l) if measure is None else _v_values(data.features, measure)
+    labels = data.labels.astype(np.float64)
+    out = []
+    for k, members in enumerate(granulation.granule_members):
+        v = weight(values[members])
+        out.append(GranuleInvariant(k, v, float(v @ labels[members])))
+    return out
+
+
+def _unit_maximum(v: np.ndarray) -> np.ndarray:
+    top = v.max()
+    return v / top if top > 0.0 else v
+
+
 def granule_v_vectors(
     data: Dataset, granulation: Granulation, measure: MeasureSpec
 ) -> list[GranuleInvariant]:
     """One GranuleInvariant per granule, v entries ordered by member index."""
-    if granulation.assignments.shape[0] != data.l:
-        raise DataError("granulation does not match the dataset")
-    values = _v_values(data.features, measure)
-    labels = data.labels.astype(np.float64)
-    out = []
-    for k, members in enumerate(granulation.granule_members):
-        v = values[members]
-        out.append(GranuleInvariant(k, v, float(v @ labels[members])))
-    return out
+    return _granule_invariants(data, granulation, measure, lambda v: v)
 
 
 def normalized_granule_invariants(
@@ -127,25 +143,15 @@ def normalized_granule_invariants(
     the regularizer swamp the invariant residuals on wide data for any
     reasonable regularization grid. Rescaling each granule's predicate to
     unit maximum keeps the within-granule structure while making the
-    objective's scale dimension-independent; a singleton granule with a
-    nonzero v-value gets exactly unit weight, which is what makes the
-    identity-weighted degenerate mode coincide with the m = l case.
-    Granules whose v vector is identically zero (under the uniform
-    measure: every member has a coordinate equal to 1, or the product
-    underflows on wide data) are left as-is.
+    objective's scale dimension-independent. Granules whose v vector is
+    identically zero (under the uniform measure: every member has a
+    coordinate equal to 1, or the product underflows on wide data) are
+    left as-is. So a singleton granule gets weight [1.0] only when its
+    v-value is nonzero: on minmax-scaled data every row that attains some
+    feature's maximum has uniform v-value 0, and the m = l fit is not the
+    identity-weighted (LSSVM) mode, which `unit_granule_invariants` gives.
     """
-    if granulation.assignments.shape[0] != data.l:
-        raise DataError("granulation does not match the dataset")
-    values = _v_values(data.features, measure)
-    labels = data.labels.astype(np.float64)
-    out = []
-    for k, members in enumerate(granulation.granule_members):
-        v = values[members]
-        top = v.max()
-        if top > 0.0:
-            v = v / top
-        out.append(GranuleInvariant(k, v, float(v @ labels[members])))
-    return out
+    return _granule_invariants(data, granulation, measure, _unit_maximum)
 
 
 def unit_granule_invariants(data: Dataset, granulation: Granulation) -> list[GranuleInvariant]:
@@ -154,13 +160,7 @@ def unit_granule_invariants(data: Dataset, granulation: Granulation) -> list[Gra
     This is the measure-independent switch that turns the granulated
     model into a plain least-squares one when granules are singletons.
     """
-    if granulation.assignments.shape[0] != data.l:
-        raise DataError("granulation does not match the dataset")
-    labels = data.labels.astype(np.float64)
-    return [
-        GranuleInvariant(k, np.ones(members.size), float(labels[members].sum()))
-        for k, members in enumerate(granulation.granule_members)
-    ]
+    return _granule_invariants(data, granulation, None, lambda v: v)
 
 
 def v_matrix(data: Dataset, measure: MeasureSpec, max_rows: int = V_MATRIX_ROW_CAP) -> np.ndarray:

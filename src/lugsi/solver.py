@@ -1,19 +1,20 @@
 """Closed-form fitting of granulated invariant models.
 
-The granulated objective accumulates, over granules k, the squared
-invariant residual (v_k^T (F_k - Y_k))^2 plus gamma * ||params||^2 per
-granule, so the regularizer totals gamma * m. Because each granule's
-invariant matrix is the rank-one outer product v_k v_k^T, the normal
-equations only need the compressed quantities
+Every fit mode minimizes r^T W r + gamma * m * ||params||^2 over the
+parameters and the bias, where r = D params + bias - Y, D is the design
+(the features, or the training Gram block for a kernel) and W weights the
+residuals. The granulated fits take W = sum_k v_k v_k^T, one rank-one
+invariant per granule, so the regularizer totals gamma * m and the
+normal equations only need the compressed quantities
 
     u_k = X_k^T v_k   (linear)   or   q_k = K_k^T v_k   (kernel),
-    s_k = v_k^T 1,    t_k = v_k^T Y_k,
+    s_k = v_k^T 1,    t_k = v_k^T Y_k.
 
-and the system matrix is a sum of outer products plus gamma*m*I. The
-full V-matrix is never materialized here; `fit_vsvm` keeps the dense
-reference construction for cross-checks, and `fit_lssvm` is the
-identity-weighted degenerate mode (singleton granules, unit predicates,
-so its effective regularizer is gamma * l).
+The full V-matrix is never materialized here; `fit_vsvm` keeps the dense
+reference construction (W = V, m = 1) for cross-checks, and `fit_lssvm`
+is the identity-weighted degenerate mode (singleton granules, unit
+predicates, so its effective regularizer is gamma * l). All four modes
+share one closed-form solve, bias recovery and diagnostics.
 """
 
 import math
@@ -34,13 +35,17 @@ from .serialize import dump_document, load_document
 KERNEL_SYSTEM_ROW_CAP = 15_000
 VSVM_ROW_CAP = 10_000
 _PSD_CHECK_LIMIT = 1_500
-_FD_STEP = 1e-6
 _B_DEGENERACY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class FitDiagnostics:
-    """Health metrics recorded with every fit."""
+    """Health metrics recorded with every fit.
+
+    `gradient_norm` is the exact norm of the objective's gradient in
+    (params, bias) at the returned solution, evaluated from the normal
+    equations.
+    """
 
     objective_value: float
     gradient_norm: float
@@ -143,7 +148,99 @@ def solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _factor_solve(M, rhs)[0]
 
 
-def _check_alignment(granulation: Granulation, invariants: list[GranuleInvariant]) -> None:
+def _design(data: Dataset, kernel: KernelSpec | None, max_rows: int) -> np.ndarray:
+    """The feature matrix, or the l x l training Gram block under a row cap."""
+    if kernel is None:
+        return data.features
+    if data.l > max_rows:
+        raise DataError(
+            f"kernel system is {data.l}x{data.l}, above the cap {max_rows}; "
+            "raise max_system_rows explicitly if you really want this"
+        )
+    return gram_block(kernel, data.features, data.features)
+
+
+def _closed_form(
+    data, kernel, gamma, m, seed, scaling, started,
+    DWD, DWy, DW1, oWy, oW1, oWD, residual_energy,
+) -> tuple[LinearModel | KernelModel, FitDiagnostics]:
+    """The solve, model and diagnostics shared by every fit mode.
+
+    Minimizes r^T W r + gamma*m*||p||^2 with r = D p + bias - y, given the
+    weighted normal-equation quantities D^T W D (consumed in place),
+    D^T W y, D^T W 1, 1^T W y, 1^T W 1 and 1^T W D. The two half-solutions
+    solve (D^T W D + gamma*m*I) [p_b, p_c] = [D^T W y, D^T W 1]; the bias
+    comes from its stationarity equation, and a near-zero bias denominator
+    falls back to b = 0 with the diagnostics flag set. Then p = p_b - b*p_c.
+    `residual_energy(p, b)` returns r^T W r for the objective.
+    """
+    gamma_eff = gamma * m
+    M = DWD
+    M[np.diag_indices(M.shape[0])] += gamma_eff
+    half, cond = _factor_solve(M, np.column_stack([DWy, DW1]))
+    p_b, p_c = half[:, 0], half[:, 1]
+    numerator = float(oWy - oWD @ p_b)
+    denominator = float(oW1 - oWD @ p_c)
+    fallback = abs(denominator) < _B_DEGENERACY_TOL * (1.0 + abs(numerator))
+    bias = 0.0 if fallback else numerator / denominator
+    params = p_b - bias * p_c
+    # half the gradient of the objective in (p, b), from the normal equations
+    grad = np.append(M @ params + bias * DW1 - DWy, oWD @ params + bias * oW1 - oWy)
+    if scaling is None:
+        scaling = ScalingParams(np.zeros(data.n), np.ones(data.n))
+    if kernel is None:
+        model: LinearModel | KernelModel = LinearModel(
+            w=params, b=bias, w_b=p_b, w_c=p_c,
+            gamma=gamma, m=m, seed=seed, scaling=scaling,
+        )
+    else:
+        model = KernelModel(
+            A=params, c=bias, A_b=p_b, A_c=p_c,
+            training_points=data.features, kernel=kernel,
+            gamma=gamma, m=m, seed=seed, scaling=scaling,
+        )
+    diagnostics = FitDiagnostics(
+        objective_value=float(residual_energy(params, bias) + gamma_eff * (params @ params)),
+        gradient_norm=2.0 * float(np.linalg.norm(grad)),
+        system_condition_hint=cond,
+        wall_time=time.perf_counter() - started,
+        bias_fallback=fallback,
+    )
+    return model, diagnostics
+
+
+def _rank_one_fit(data, kernel, P, s, t, gamma, m, seed, scaling, started):
+    """`_closed_form` for W = sum_k v_k v_k^T, from the accumulations (P, s, t)."""
+
+    def residual_energy(p, bias):
+        resid = P @ p + bias * s - t
+        return resid @ resid
+
+    return _closed_form(
+        data, kernel, gamma, m, seed, scaling, started,
+        P.T @ P, P.T @ t, P.T @ s, s @ t, s @ s, s @ P, residual_energy,
+    )
+
+
+def _granulated_fit(
+    data: Dataset,
+    granulation: Granulation,
+    invariants: list[GranuleInvariant],
+    kernel: KernelSpec | None,
+    gamma: float,
+    scaling: ScalingParams | None,
+    max_rows: int,
+):
+    """Rank-one fit with one invariant per granule, in granule-index order.
+
+    Accumulates row k of P as design_k^T v_k, s_k = sum(v_k) and
+    t_k = v_k^T Y_k.
+    """
+    started = time.perf_counter()
+    if not gamma > 0.0:
+        raise DataError("gamma must be positive")
+    if granulation.assignments.shape[0] != data.l:
+        raise DataError("granulation does not match the dataset")
     if len(invariants) != granulation.m:
         raise DataError("one GranuleInvariant per granule required")
     for k, inv in enumerate(invariants):
@@ -151,19 +248,7 @@ def _check_alignment(granulation: Granulation, invariants: list[GranuleInvariant
             raise DataError(f"invariant {k} carries granule_index {inv.granule_index}")
         if inv.v.shape[0] != granulation.granule_members[k].size:
             raise DataError(f"invariant {k} length does not match its granule")
-
-
-def _accumulations(
-    design: np.ndarray,
-    labels: np.ndarray,
-    granulation: Granulation,
-    invariants: list[GranuleInvariant],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-granule compressed quantities, in granule-index order.
-
-    Returns (P, s, t) where row k of P is design_k^T v_k, s_k = sum(v_k),
-    t_k = v_k^T Y_k.
-    """
+    design = _design(data, kernel, max_rows)
     m = granulation.m
     P = np.empty((m, design.shape[1]), dtype=np.float64)
     s = np.empty(m, dtype=np.float64)
@@ -173,76 +258,7 @@ def _accumulations(
         P[k] = v @ design[members]
         s[k] = v.sum()
         t[k] = invariants[k].target
-    return P, s, t
-
-
-def _solve_accumulated(
-    P: np.ndarray, s: np.ndarray, t: np.ndarray, gamma_eff: float
-) -> tuple[np.ndarray, np.ndarray, float, bool, float]:
-    """Shared closed form: half-solutions, bias, fallback flag, cond hint."""
-    dim = P.shape[1]
-    M = P.T @ P
-    M[np.diag_indices(dim)] += gamma_eff
-    rhs = np.column_stack([P.T @ t, P.T @ s])
-    half, cond = _factor_solve(M, rhs)
-    p_b, p_c = half[:, 0], half[:, 1]
-    sP = s @ P
-    numerator = float(s @ t - sP @ p_b)
-    denominator = float(s @ s - sP @ p_c)
-    fallback = abs(denominator) < _B_DEGENERACY_TOL * (1.0 + abs(numerator))
-    bias = 0.0 if fallback else numerator / denominator
-    return p_b, p_c, bias, fallback, cond
-
-
-def _rank_one_objective(
-    P: np.ndarray, s: np.ndarray, t: np.ndarray, gamma_eff: float, p: np.ndarray, bias: float
-) -> float:
-    resid = P @ p + bias * s - t
-    return float(resid @ resid + gamma_eff * (p @ p))
-
-
-def _rank_one_fd_gradient_norm(
-    P: np.ndarray, s: np.ndarray, t: np.ndarray, gamma_eff: float, p: np.ndarray, bias: float
-) -> float:
-    """Central finite differences of the accumulated objective, vectorized.
-
-    Perturbing coordinate i of p shifts the residual vector by h*P[:, i],
-    so all coordinate perturbations evaluate in one pass (column-chunked
-    to bound memory).
-    """
-    h = _FD_STEP
-    base = P @ p
-    resid = base + bias * s - t
-    p_sq = float(p @ p)
-    grad = np.empty(p.shape[0] + 1, dtype=np.float64)
-    chunk = max(1, min(p.shape[0], 4096))
-    for start in range(0, p.shape[0], chunk):
-        cols = P[:, start : start + chunk]
-        plus = ((resid[:, None] + h * cols) ** 2).sum(axis=0)
-        minus = ((resid[:, None] - h * cols) ** 2).sum(axis=0)
-        reg_plus = gamma_eff * (p_sq + 2.0 * h * p[start : start + chunk] + h * h)
-        reg_minus = gamma_eff * (p_sq - 2.0 * h * p[start : start + chunk] + h * h)
-        grad[start : start + chunk] = ((plus + reg_plus) - (minus + reg_minus)) / (2.0 * h)
-    up = base + (bias + h) * s - t
-    down = base + (bias - h) * s - t
-    grad[-1] = float((up @ up - down @ down) / (2.0 * h))
-    return float(np.linalg.norm(grad))
-
-
-def _dense_fd_gradient_norm(objective, params: np.ndarray, bias: float) -> float:
-    """Plain per-coordinate central differences for the dense reference modes."""
-    h = _FD_STEP
-    theta = np.append(params, bias)
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        step = np.zeros_like(theta)
-        step[i] = h
-        grad[i] = (objective(theta + step) - objective(theta - step)) / (2.0 * h)
-    return float(np.linalg.norm(grad))
-
-
-def _identity_scaling(n: int) -> ScalingParams:
-    return ScalingParams(np.zeros(n), np.ones(n))
+    return _rank_one_fit(data, kernel, P, s, t, gamma, m, granulation.seed, scaling, started)
 
 
 def fit_linear_lugsi(
@@ -259,35 +275,9 @@ def fit_linear_lugsi(
     the accumulated bias stationarity equation. A near-zero bias
     denominator falls back to b = 0 with the diagnostics flag set.
     """
-    started = time.perf_counter()
-    if not gamma > 0.0:
-        raise DataError("gamma must be positive")
-    if granulation.assignments.shape[0] != data.l:
-        raise DataError("granulation does not match the dataset")
-    _check_alignment(granulation, invariants)
-
-    P, s, t = _accumulations(data.features, data.labels, granulation, invariants)
-    gamma_eff = gamma * granulation.m
-    w_b, w_c, b, fallback, cond = _solve_accumulated(P, s, t, gamma_eff)
-    w = w_b - b * w_c
-    model = LinearModel(
-        w=w,
-        b=b,
-        w_b=w_b,
-        w_c=w_c,
-        gamma=gamma,
-        m=granulation.m,
-        seed=granulation.seed,
-        scaling=scaling if scaling is not None else _identity_scaling(data.n),
+    return _granulated_fit(
+        data, granulation, invariants, None, gamma, scaling, KERNEL_SYSTEM_ROW_CAP
     )
-    diagnostics = FitDiagnostics(
-        objective_value=_rank_one_objective(P, s, t, gamma_eff, w, b),
-        gradient_norm=_rank_one_fd_gradient_norm(P, s, t, gamma_eff, w, b),
-        system_condition_hint=cond,
-        wall_time=time.perf_counter() - started,
-        bias_fallback=fallback,
-    )
-    return model, diagnostics
 
 
 def fit_kernel_lugsi(
@@ -305,43 +295,9 @@ def fit_kernel_lugsi(
     set, so the system is l x l regardless of the granule count; the row
     cap guards the quadratic memory.
     """
-    started = time.perf_counter()
-    if not gamma > 0.0:
-        raise DataError("gamma must be positive")
-    if granulation.assignments.shape[0] != data.l:
-        raise DataError("granulation does not match the dataset")
-    _check_alignment(granulation, invariants)
-    if data.l > max_system_rows:
-        raise DataError(
-            f"kernel system is {data.l}x{data.l}, above the cap {max_system_rows}; "
-            "raise max_system_rows explicitly if you really want this"
-        )
-
-    K = gram_block(kernel, data.features, data.features)
-    P, s, t = _accumulations(K, data.labels, granulation, invariants)
-    gamma_eff = gamma * granulation.m
-    A_b, A_c, c, fallback, cond = _solve_accumulated(P, s, t, gamma_eff)
-    A = A_b - c * A_c
-    model = KernelModel(
-        A=A,
-        c=c,
-        A_b=A_b,
-        A_c=A_c,
-        training_points=data.features,
-        kernel=kernel,
-        gamma=gamma,
-        m=granulation.m,
-        seed=granulation.seed,
-        scaling=scaling if scaling is not None else _identity_scaling(data.n),
+    return _granulated_fit(
+        data, granulation, invariants, kernel, gamma, scaling, max_system_rows
     )
-    diagnostics = FitDiagnostics(
-        objective_value=_rank_one_objective(P, s, t, gamma_eff, A, c),
-        gradient_norm=_rank_one_fd_gradient_norm(P, s, t, gamma_eff, A, c),
-        system_condition_hint=cond,
-        wall_time=time.perf_counter() - started,
-        bias_fallback=fallback,
-    )
-    return model, diagnostics
 
 
 def fit_lssvm(
@@ -362,40 +318,12 @@ def fit_lssvm(
     started = time.perf_counter()
     if not gamma > 0.0:
         raise DataError("gamma must be positive")
-    labels = data.labels.astype(np.float64)
-    ones = np.ones(data.l)
-    gamma_eff = gamma * data.l
-    if kernel is None:
-        design = data.features
-    else:
-        if data.l > max_system_rows:
-            raise DataError(
-                f"kernel system is {data.l}x{data.l}, above the cap {max_system_rows}"
-            )
-        design = gram_block(kernel, data.features, data.features)
+    design = _design(data, kernel, max_system_rows)
     # singleton granules with unit predicates: P rows are the design rows
-    p_b, p_c, bias, fallback, cond = _solve_accumulated(design, ones, labels, gamma_eff)
-    params = p_b - bias * p_c
-    scaling = scaling if scaling is not None else _identity_scaling(data.n)
-    if kernel is None:
-        model: LinearModel | KernelModel = LinearModel(
-            w=params, b=bias, w_b=p_b, w_c=p_c,
-            gamma=gamma, m=data.l, seed=seed, scaling=scaling,
-        )
-    else:
-        model = KernelModel(
-            A=params, c=bias, A_b=p_b, A_c=p_c,
-            training_points=data.features, kernel=kernel,
-            gamma=gamma, m=data.l, seed=seed, scaling=scaling,
-        )
-    diagnostics = FitDiagnostics(
-        objective_value=_rank_one_objective(design, ones, labels, gamma_eff, params, bias),
-        gradient_norm=_rank_one_fd_gradient_norm(design, ones, labels, gamma_eff, params, bias),
-        system_condition_hint=cond,
-        wall_time=time.perf_counter() - started,
-        bias_fallback=fallback,
+    return _rank_one_fit(
+        data, kernel, design, np.ones(data.l), data.labels.astype(np.float64),
+        gamma, data.l, seed, scaling, started,
     )
-    return model, diagnostics
 
 
 def fit_vsvm(
@@ -410,7 +338,7 @@ def fit_vsvm(
     """Dense reference fit weighting residuals by a full V-matrix.
 
     Minimizes (F - Y)^T V (F - Y) + gamma * ||params||^2 with no rank-one
-    shortcut; kept for equivalence cross-checks and small problems.
+    shortcut (m = 1); kept for equivalence cross-checks and small problems.
     """
     started = time.perf_counter()
     if not gamma > 0.0:
@@ -428,49 +356,20 @@ def fit_vsvm(
         if smallest < -1e-8:
             raise DataError(f"V is not positive semidefinite (eigenvalue {smallest:.3e})")
 
+    design = _design(data, kernel, max_rows)
     labels = data.labels.astype(np.float64)
     ones = np.ones(data.l)
-    if kernel is None:
-        design = data.features
-    else:
-        design = gram_block(kernel, data.features, data.features)
-    VD = V @ design
-    M = design.T @ VD
-    M[np.diag_indices(M.shape[0])] += gamma
-    rhs = np.column_stack([design.T @ (V @ labels), design.T @ (V @ ones)])
-    half, cond = _factor_solve(M, rhs)
-    p_b, p_c = half[:, 0], half[:, 1]
     oV = ones @ V
-    numerator = float(oV @ labels - (oV @ design) @ p_b)
-    denominator = float(oV @ ones - (oV @ design) @ p_c)
-    fallback = abs(denominator) < _B_DEGENERACY_TOL * (1.0 + abs(numerator))
-    bias = 0.0 if fallback else numerator / denominator
-    params = p_b - bias * p_c
 
-    def objective(theta: np.ndarray) -> float:
-        resid = design @ theta[:-1] + theta[-1] - labels
-        return float(resid @ (V @ resid) + gamma * (theta[:-1] @ theta[:-1]))
+    def residual_energy(p, bias):
+        resid = design @ p + bias - labels
+        return resid @ (V @ resid)
 
-    scaling = scaling if scaling is not None else _identity_scaling(data.n)
-    if kernel is None:
-        model: LinearModel | KernelModel = LinearModel(
-            w=params, b=bias, w_b=p_b, w_c=p_c,
-            gamma=gamma, m=1, seed=seed, scaling=scaling,
-        )
-    else:
-        model = KernelModel(
-            A=params, c=bias, A_b=p_b, A_c=p_c,
-            training_points=data.features, kernel=kernel,
-            gamma=gamma, m=1, seed=seed, scaling=scaling,
-        )
-    diagnostics = FitDiagnostics(
-        objective_value=objective(np.append(params, bias)),
-        gradient_norm=_dense_fd_gradient_norm(objective, params, bias),
-        system_condition_hint=cond,
-        wall_time=time.perf_counter() - started,
-        bias_fallback=fallback,
+    return _closed_form(
+        data, kernel, gamma, 1, seed, scaling, started,
+        design.T @ (V @ design), design.T @ (V @ labels), design.T @ (V @ ones),
+        oV @ labels, oV @ ones, oV @ design, residual_energy,
     )
-    return model, diagnostics
 
 
 def decision_values(model: LinearModel | KernelModel, points: np.ndarray) -> np.ndarray:

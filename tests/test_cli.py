@@ -1,7 +1,9 @@
 """End-to-end command-line behavior, exit codes, and file determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,18 @@ from lugsi import (
 from lugsi.evaluation import train_fold_pipeline
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(*args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "lugsi.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=env,
     )
 
 

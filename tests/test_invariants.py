@@ -15,6 +15,7 @@ from lugsi import (
     MeasureSpec,
     granule_v_vectors,
     kmeans_granulate,
+    minmax_scale,
     normalized_granule_invariants,
     unit_granule_invariants,
     v_matrix,
@@ -127,6 +128,16 @@ class TestNormalizedGranuleInvariants:
         for i, inv in enumerate(invs):
             np.testing.assert_array_equal(inv.v, [1.0])
             assert inv.target == float(data.labels[i])
+        # minmax scaling puts every feature's maximum at 1, where the uniform
+        # v-value is exactly 0, so those rows' singletons keep weight 0
+        scaled, _ = minmax_scale(random_binary_dataset(rng, 12, 3))
+        at_max = np.any(scaled.features == 1.0, axis=1)
+        assert 1 <= int(at_max.sum()) < scaled.l
+        invs = normalized_granule_invariants(
+            scaled, singleton_granulation(scaled), MeasureSpec.uniform()
+        )
+        for i, inv in enumerate(invs):
+            np.testing.assert_array_equal(inv.v, [0.0] if at_max[i] else [1.0])
 
     def test_all_zero_granule_stays_zero(self):
         # rows on the x_0 = 1 face have uniform v-value exactly 0

@@ -353,6 +353,41 @@ class TestVsvm:
         assert diag.gradient_norm <= 1e-5 * (1.0 + abs(diag.objective_value))
 
 
+class TestDiagnostics:
+    def test_objective_and_exact_gradient_in_every_mode(self):
+        # LSSVM is the oracle objective with singleton granules and unit v,
+        # VSVM with V = v v^T is the one-granule (m = 1) objective
+        for seed in range(40):
+            gen = np.random.default_rng(5000 + seed)
+            data = random_binary_dataset(gen, int(gen.integers(6, 20)), int(gen.integers(1, 5)))
+            X, y = data.features, data.labels
+            gamma = float(gen.uniform(0.01, 2.0))
+            spec = KernelSpec("rbf", delta=float(gen.uniform(0.3, 2.0)))
+            K = gram_block(spec, X, X)
+            g = kmeans_granulate(data, int(gen.integers(1, 5)), seed=seed)
+            invs = granule_v_vectors(data, g, MeasureSpec.uniform())
+            vs = [inv.v for inv in invs]
+            singletons = singleton_granulation(data).granule_members
+            units = [np.ones(1)] * data.l
+            v_full = np.array([v_value(x, MeasureSpec.uniform()) for x in X])
+            V = np.outer(v_full, v_full)
+            whole = [np.arange(data.l)]
+            linear, kernel = explicit_objective_linear, explicit_objective_kernel
+            cases = [
+                (fit_linear_lugsi(data, g, invs, gamma), linear, X, g.granule_members, vs),
+                (fit_kernel_lugsi(data, g, invs, spec, gamma), kernel, K, g.granule_members, vs),
+                (fit_lssvm(data, gamma), linear, X, singletons, units),
+                (fit_lssvm(data, gamma, kernel=spec), kernel, K, singletons, units),
+                (fit_vsvm(data, V, gamma), linear, X, whole, [v_full]),
+                (fit_vsvm(data, V, gamma, kernel=spec), kernel, K, whole, [v_full]),
+            ]
+            for (model, diag), objective, design, members, v_vectors in cases:
+                params, bias = (model.w, model.b) if hasattr(model, "w") else (model.A, model.c)
+                explicit = objective(design, y, members, v_vectors, gamma, params, bias)
+                assert diag.objective_value == pytest.approx(explicit, rel=1e-12)
+                assert diag.gradient_norm <= 1e-10 * (1.0 + diag.objective_value)
+
+
 class TestPrediction:
     def test_constant_linear_model(self):
         _, _, _, model, _ = fitted_linear(19)
