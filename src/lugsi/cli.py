@@ -41,7 +41,7 @@ from .evaluation import (
     report_document,
 )
 from .granulation import kmeans_granulate
-from .invariants import MeasureSpec, granule_v_vectors, normalized_granule_invariants
+from .invariants import MeasureSpec, normalized_granule_invariants, v_value
 from .kernels import KernelSpec
 from .serialize import csv_line, dump_document, fmt_float
 from .solver import (
@@ -110,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--folds", type=int, default=5)
     p_cv.add_argument("--seed", type=int, default=0)
     p_cv.add_argument("--restarts", type=int, default=10)
-    p_cv.add_argument("--threads", type=int, default=1, help="parallel grid workers")
+    p_cv.add_argument(
+        "--threads", type=int, default=1, help="worker processes over (fold, m) units"
+    )
     p_cv.add_argument("--timing", choices=("wall", "zero"), default="wall")
     p_cv.add_argument("--report-out", required=True)
     p_cv.add_argument("--csv-out", required=True)
@@ -409,13 +411,11 @@ def cmd_granulate(args, parser) -> int:
         ],
     )
     if args.emit_v:
-        invariants = granule_v_vectors(scaled, granulation, MeasureSpec.uniform())
-        values = np.empty(data.l, dtype=np.float64)
-        for k, members in enumerate(granulation.granule_members):
-            values[members] = invariants[k].v
+        measure = MeasureSpec.uniform()
         lines.append("sample_index,granule_index,v_value")
         for i in range(data.l):
-            lines.append(csv_line(i, int(granulation.assignments[i]), values[i]))
+            value = v_value(scaled.features[i], measure)
+            lines.append(csv_line(i, int(granulation.assignments[i]), value))
     else:
         lines.append("sample_index,granule_index")
         for i in range(data.l):

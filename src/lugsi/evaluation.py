@@ -7,9 +7,16 @@ C in 2^-8..2^8 (regularizer gamma = 1/C), rbf delta in 2^-4..2^4, and a
 cluster grid {1, 3, 7, l/2, l} for small datasets or {1, 3, 7, l/16, l}
 for l >= 800. Fold fits weight invariants with per-granule normalized
 uniform v-values, as `lugsi train` does, so a configuration chosen here
-is refit by `train` with the same flags. Reported train time is the wall
-time of granulation, invariant construction, and the closed-form solve
-for one fold.
+is refit by `train` with the same flags.
+
+One driver evaluates every grid, single configuration and cluster sweep
+in the order fold -> m_eff -> configs, where m_eff = min(m, training fold
+size). Granulation and invariants depend only on (fold, m_eff, seed,
+restarts), so they run once per such unit and are shared by all of its
+(C, delta) points. A configuration's reported train time on a fold is
+its unit's granulation and invariant time plus its own closed-form solve
+time: the time to train that configuration from scratch on the fold, so
+mean train times stay comparable across m for the wall-time tie-break.
 """
 
 import time
@@ -18,9 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, apply_scaling, generate_ndc, kfold_split, minmax_scale
+from .dataset import Dataset, ScalingParams, apply_scaling, generate_ndc, kfold_split, minmax_scale
 from .errors import DataError
-from .granulation import kmeans_granulate
+from .granulation import Granulation, kmeans_granulate
 # granule_v_vectors is not called here: perfbench/tracer.py wraps it by this module's name
 from .invariants import MeasureSpec, granule_v_vectors, normalized_granule_invariants, v_matrix
 from .kernels import KernelSpec
@@ -151,25 +158,121 @@ def accuracy(predicted, actual) -> float:
     return float(np.mean(predicted == actual))
 
 
+@dataclass(frozen=True)
+class _GranulatedFold:
+    """A scaled training fold granulated at one m, with its invariants;
+    `seconds` is the wall time of granulation and invariant construction."""
+
+    scaled: Dataset
+    params: ScalingParams
+    granulation: Granulation
+    invariants: list
+    seconds: float
+
+
+def _granulate_fold(scaled: Dataset, params: ScalingParams, m_eff: int, seed: int, restarts: int):
+    started = time.perf_counter()
+    granulation = kmeans_granulate(scaled, m_eff, seed, restarts=restarts)
+    invariants = normalized_granule_invariants(scaled, granulation, MeasureSpec.uniform())
+    return _GranulatedFold(scaled, params, granulation, invariants, time.perf_counter() - started)
+
+
 def train_fold_pipeline(
     train: Dataset, config: CVConfig, seed: int, restarts: int = 10
 ):
     """Scale, granulate, build invariants, and fit on training rows only.
 
     Returns (model, scaling params, train_seconds). The clock covers
-    granulation, invariant construction, and the solve.
+    granulation, invariant construction, and the solve. The evaluation
+    driver passes a training fold it already granulated at
+    min(config.m, l) in place of the raw rows; then only the solve runs,
+    and its time is added to the fold's granulation and invariant time.
     """
-    scaled, params = minmax_scale(train)
-    m_eff = min(config.m, train.l)
+    fold = train
+    if not isinstance(fold, _GranulatedFold):
+        scaled, params = minmax_scale(train)
+        fold = _granulate_fold(scaled, params, min(config.m, train.l), seed, restarts)
     started = time.perf_counter()
-    granulation = kmeans_granulate(scaled, m_eff, seed, restarts=restarts)
-    invariants = normalized_granule_invariants(scaled, granulation, MeasureSpec.uniform())
     kernel = config.kernel_spec()
     if kernel is None:
-        model, _ = fit_linear_lugsi(scaled, granulation, invariants, config.gamma, params)
+        model, _ = fit_linear_lugsi(
+            fold.scaled, fold.granulation, fold.invariants, config.gamma, fold.params
+        )
     else:
-        model, _ = fit_kernel_lugsi(scaled, granulation, invariants, kernel, config.gamma, params)
-    return model, params, time.perf_counter() - started
+        model, _ = fit_kernel_lugsi(
+            fold.scaled, fold.granulation, fold.invariants, kernel, config.gamma, fold.params
+        )
+    return model, fold.params, fold.seconds + time.perf_counter() - started
+
+
+def _units(data: Dataset, configs, folds: int, seed: int, restarts: int):
+    """Work units in fold order, then in first-seen order of m_eff.
+
+    Each fold's training rows are scaled, and its test rows rescaled, once.
+    A unit is one (fold, m_eff = min(m, training fold size)) with every
+    config it serves, paired with the config's index in `configs`.
+    """
+    plan = kfold_split(data, folds, seed)
+    for fold in range(folds):
+        test_idx = plan.test_indices(fold)
+        scaled, params = minmax_scale(data.subset(plan.train_indices(fold)))
+        scaled_test = apply_scaling(data.subset(test_idx), params)
+        by_m: dict[int, list] = {}
+        for index, config in enumerate(configs):
+            by_m.setdefault(min(config.m, scaled.l), []).append((index, config))
+        for m_eff, members in by_m.items():
+            yield fold, scaled, params, scaled_test, test_idx, m_eff, members, seed, restarts
+
+
+def _evaluate_unit(unit) -> list:
+    """Granulate one (fold, m_eff) once, then fit and score each of its
+    configs; returns (config index, FoldResult) pairs."""
+    fold, scaled, params, scaled_test, test_idx, m_eff, members, seed, restarts = unit
+    granulated = _granulate_fold(scaled, params, m_eff, seed, restarts)
+    out = []
+    for index, config in members:
+        # the one fold-fit path, so a traced grid still records one fold fit per (config, fold)
+        model, _, seconds = train_fold_pipeline(granulated, config, seed, restarts)
+        predictions = predict_labels(model, scaled_test.features)
+        score = accuracy(predictions, scaled_test.labels)
+        out.append((index, FoldResult(fold, score, seconds, m_eff, test_idx, predictions)))
+    return out
+
+
+def _evaluate(
+    data: Dataset, configs, folds: int, seed: int, restarts: int, threads: int = 1
+) -> tuple:
+    """The one evaluation driver: per-fold results of every config.
+
+    Work runs fold -> m_eff -> configs, so k-means and the invariants run
+    once per (fold, m_eff) whatever the number of (C, delta) points, and
+    only one granulation is live at a time. With threads > 1 the units
+    run in worker processes; results are assembled in `configs` order.
+    """
+    units = _units(data, configs, folds, seed, restarts)
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(_evaluate_unit, units, chunksize=1))
+    else:
+        outcomes = map(_evaluate_unit, units)
+    per_config = [[] for _ in configs]
+    for outcome in outcomes:
+        for index, fold_result in outcome:
+            per_config[index].append(fold_result)
+    results = []
+    for config, fold_results in zip(configs, per_config):
+        accs = np.array([fr.accuracy for fr in fold_results])
+        times = np.array([fr.train_seconds for fr in fold_results])
+        results.append(
+            ConfigResult(
+                config=config,
+                fold_results=tuple(fold_results),
+                mean_accuracy=float(accs.mean()),
+                std_accuracy=float(accs.std()),
+                mean_train_seconds=float(times.mean()),
+            )
+        )
+    return tuple(results)
 
 
 def cross_validate(
@@ -180,35 +283,7 @@ def cross_validate(
     m values larger than a training fold are clipped to the fold size and
     surface through FoldResult.m_effective.
     """
-    plan = kfold_split(data, folds, seed)
-    fold_results = []
-    for fold in range(folds):
-        train_idx = plan.train_indices(fold)
-        test_idx = plan.test_indices(fold)
-        train = data.subset(train_idx)
-        test = data.subset(test_idx)
-        model, params, train_seconds = train_fold_pipeline(train, config, seed, restarts)
-        scaled_test = apply_scaling(test, params)
-        predictions = predict_labels(model, scaled_test.features)
-        fold_results.append(
-            FoldResult(
-                fold=fold,
-                accuracy=accuracy(predictions, test.labels),
-                train_seconds=train_seconds,
-                m_effective=min(config.m, train.l),
-                test_indices=test_idx,
-                predictions=predictions,
-            )
-        )
-    accs = np.array([fr.accuracy for fr in fold_results])
-    times = np.array([fr.train_seconds for fr in fold_results])
-    return ConfigResult(
-        config=config,
-        fold_results=tuple(fold_results),
-        mean_accuracy=float(accs.mean()),
-        std_accuracy=float(accs.std()),
-        mean_train_seconds=float(times.mean()),
-    )
+    return _evaluate(data, [config], folds, seed, restarts)[0]
 
 
 def enumerate_configs(grid: GridSpec, kernel_kind: str, cro_gamma: float = 0.0) -> list[CVConfig]:
@@ -229,11 +304,6 @@ def enumerate_configs(grid: GridSpec, kernel_kind: str, cro_gamma: float = 0.0) 
                     )
                 )
     return configs
-
-
-def _evaluate_one(args) -> ConfigResult:
-    data, config, folds, seed, restarts = args
-    return cross_validate(data, config, folds, seed, restarts)
 
 
 def select_best(results, time_tiebreak: bool = True) -> int:
@@ -266,18 +336,15 @@ def grid_search(
 ) -> EvalReport:
     """Exhaustive evaluation of the grid, deterministic under the seed.
 
-    Configurations may be evaluated in parallel worker processes; the
+    (fold, m) units may be evaluated in parallel worker processes; the
     report is always assembled in grid order.
     """
-    configs = enumerate_configs(grid, kernel_kind, cro_gamma)
     if kernel_kind not in ("linear", "rbf", "cro"):
         raise DataError(f"unknown kernel kind {kernel_kind!r}")
-    tasks = [(data, config, grid.folds, grid.seed, restarts) for config in configs]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = tuple(pool.map(_evaluate_one, tasks, chunksize=1))
-    else:
-        results = tuple(_evaluate_one(task) for task in tasks)
+    if kernel_kind == "rbf" and not grid.delta_values:
+        raise DataError("an rbf grid needs at least one delta value")
+    configs = enumerate_configs(grid, kernel_kind, cro_gamma)
+    results = _evaluate(data, configs, grid.folds, grid.seed, restarts, threads)
     return EvalReport(
         kernel_kind=kernel_kind,
         folds=grid.folds,
@@ -306,17 +373,15 @@ def cluster_sweep(
 ) -> list[ClusterSweepRow]:
     """Accuracy and train time as the cluster count varies, other
     parameters fixed."""
-    rows = []
-    for m in m_values:
-        result = cross_validate(data, replace(config, m=int(m)), folds, seed, restarts)
-        rows.append(
-            ClusterSweepRow(
-                m=int(m),
-                mean_accuracy=result.mean_accuracy,
-                mean_train_seconds=result.mean_train_seconds,
-            )
+    configs = [replace(config, m=int(m)) for m in m_values]
+    return [
+        ClusterSweepRow(
+            m=result.config.m,
+            mean_accuracy=result.mean_accuracy,
+            mean_train_seconds=result.mean_train_seconds,
         )
-    return rows
+        for result in _evaluate(data, configs, folds, seed, restarts)
+    ]
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from lugsi import (
     grid_search,
     kfold_split,
 )
+import lugsi.evaluation
 from lugsi.evaluation import (
     ConfigResult,
     CVConfig,
@@ -30,6 +31,19 @@ from lugsi.evaluation import (
 from lugsi.solver import model_document
 from lugsi.serialize import dump_document
 from lugsi.solver import predict_labels
+
+
+def count_granulations(monkeypatch) -> list:
+    """Route the evaluation module's k-means through a recorder of its m values."""
+    calls = []
+    granulate = lugsi.evaluation.kmeans_granulate
+
+    def counting(data, m, *args, **kwargs):
+        calls.append(m)
+        return granulate(data, m, *args, **kwargs)
+
+    monkeypatch.setattr(lugsi.evaluation, "kmeans_granulate", counting)
+    return calls
 
 
 def separable_line() -> Dataset:
@@ -179,6 +193,67 @@ class TestGridSearch:
         par = grid_search(data, grid, "linear", threads=2, time_tiebreak=False)
         assert [r.mean_accuracy for r in seq.results] == [r.mean_accuracy for r in par.results]
         assert seq.best_index == par.best_index
+
+    def test_grid_matches_per_fold_pipeline(self, rng):
+        # 15 rows in 5 folds train on 12: m = 13 and m = 14 both clip to 12
+        data = random_binary_dataset(rng, 15, 2)
+        grid = GridSpec(
+            c_values=(0.5, 8.0), delta_values=(0.5, 2.0), m_values=(2, 13, 14), folds=5, seed=3
+        )
+        plan = kfold_split(data, grid.folds, grid.seed)
+        for kernel_kind in ("linear", "rbf"):
+            report = grid_search(data, grid, kernel_kind, restarts=3)
+            assert len(report.results) == (6 if kernel_kind == "linear" else 12)
+            for result in report.results:
+                assert [fr.fold for fr in result.fold_results] == list(range(grid.folds))
+                for fr in result.fold_results:
+                    train = data.subset(plan.train_indices(fr.fold))
+                    test = data.subset(plan.test_indices(fr.fold))
+                    model, params, _ = train_fold_pipeline(
+                        train, result.config, grid.seed, restarts=3
+                    )
+                    expected = predict_labels(model, apply_scaling(test, params).features)
+                    assert fr.predictions.tobytes() == expected.tobytes()
+                    assert fr.accuracy == accuracy(expected, test.labels)
+                    assert fr.m_effective == min(result.config.m, 12)
+                    assert fr.test_indices.tobytes() == plan.test_indices(fr.fold).tobytes()
+
+    def test_granulates_once_per_fold_and_cluster_count(self, rng, monkeypatch):
+        calls = count_granulations(monkeypatch)
+        data = random_binary_dataset(rng, 24, 2)
+        grid = GridSpec(
+            c_values=(0.5, 2.0, 8.0), delta_values=(), m_values=(2, 5), folds=3, seed=1
+        )
+        report = grid_search(data, grid, "linear", restarts=2)
+        assert len(report.results) == 6
+        assert sorted(calls) == [2, 2, 2, 5, 5, 5]
+
+    def test_parallel_units_match_sequential_bytes(self, rng):
+        # 21 rows in 3 folds train on 14, so m = 20 is clipped
+        data = random_binary_dataset(rng, 21, 2)
+        grid = GridSpec(
+            c_values=(0.5, 4.0, 32.0), delta_values=(0.5, 2.0), m_values=(1, 4, 20), folds=3, seed=6
+        )
+
+        def document(kernel_kind, threads):
+            report = grid_search(
+                data, grid, kernel_kind, restarts=2, threads=threads, time_tiebreak=False
+            )
+            return dump_document(report_document(report, timing="zero"))
+
+        for kernel_kind in ("linear", "rbf"):
+            assert document(kernel_kind, 2) == document(kernel_kind, 1)
+
+    def test_rbf_grid_without_delta_is_rejected_before_fold_work(self, rng, monkeypatch):
+        calls = count_granulations(monkeypatch)
+        data = random_binary_dataset(rng, 20, 2)
+        grid = GridSpec(c_values=(1.0,), delta_values=(), m_values=(2,), folds=4, seed=0)
+        with pytest.raises(DataError, match="delta"):
+            grid_search(data, grid, "rbf")
+        with pytest.raises(DataError, match="unknown kernel"):
+            grid_search(data, grid, "poly")
+        assert calls == []
+        assert len(grid_search(data, grid, "linear").results) == 1
 
     def test_report_document_zero_timing(self, rng):
         data = random_binary_dataset(rng, 18, 2)
