@@ -173,21 +173,12 @@ def _resolve_gamma(args, parser: argparse.ArgumentParser) -> float:
     return 1.0
 
 
-def _parse_float_list(text: str, flag: str, parser) -> tuple:
+def _parse_list(text: str, kind: type, flag: str, parser) -> tuple:
     try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+        values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        parser.error(f"{flag} expects comma-separated numbers")
-    if not values:
-        parser.error(f"{flag} must not be empty")
-    return values
-
-
-def _parse_int_list(text: str, flag: str, parser) -> tuple:
-    try:
-        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        parser.error(f"{flag} expects comma-separated integers")
+        noun = "integers" if kind is int else "numbers"
+        parser.error(f"{flag} expects comma-separated {noun}")
     if not values:
         parser.error(f"{flag} must not be empty")
     return values
@@ -259,17 +250,17 @@ def cmd_cv(args, parser) -> int:
     _check_output_path(args.csv_out, parser)
     data = _load_data(args)
     c_values = (
-        _parse_float_list(args.c_grid, "--c-grid", parser)
+        _parse_list(args.c_grid, float, "--c-grid", parser)
         if args.c_grid
         else default_c_values()
     )
     delta_values = (
-        _parse_float_list(args.delta_grid, "--delta-grid", parser)
+        _parse_list(args.delta_grid, float, "--delta-grid", parser)
         if args.delta_grid
         else default_delta_values()
     )
     m_values = (
-        _parse_int_list(args.m_grid, "--m-grid", parser)
+        _parse_list(args.m_grid, int, "--m-grid", parser)
         if args.m_grid
         else default_m_values(data.l)
     )
@@ -315,7 +306,7 @@ def cmd_cv(args, parser) -> int:
 
 def cmd_bench_sizes(args, parser) -> int:
     _check_output_path(args.out, parser)
-    sizes = _parse_int_list(args.sizes, "--sizes", parser)
+    sizes = _parse_list(args.sizes, int, "--sizes", parser)
     rows = benchmark_scaling(
         sizes,
         features=args.features,
@@ -362,7 +353,7 @@ def cmd_bench_clusters(args, parser) -> int:
     _check_output_path(args.out, parser)
     gamma = _resolve_gamma(args, parser)
     data = _load_data(args)
-    m_values = _parse_int_list(args.m_list, "--m-list", parser)
+    m_values = _parse_list(args.m_list, int, "--m-list", parser)
     if any(m < 1 for m in m_values):
         parser.error("m must be >= 1")
     config = CVConfig(

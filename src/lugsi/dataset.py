@@ -233,10 +233,10 @@ def load_sparse(path, dimension_hint: int | None = None) -> Dataset:
                     val = float(val_text)
                 except ValueError:
                     raise DataError(f"malformed entry {token!r} at line {line_no}") from None
-                if idx <= previous:
-                    raise DataError(f"non-ascending index {idx} at line {line_no}")
                 if idx < 1:
                     raise DataError(f"index {idx} below 1 at line {line_no}")
+                if idx <= previous:
+                    raise DataError(f"non-ascending index {idx} at line {line_no}")
                 if dimension_hint is not None and idx > dimension_hint:
                     raise DataError(
                         f"index {idx} exceeds dimension hint {dimension_hint} at line {line_no}"

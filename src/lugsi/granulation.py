@@ -14,7 +14,11 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError
+from .kernels import squared_distances
 from .rng import make_rng
+
+MAX_ITERS = 100
+TOL = 1e-6  # on the maximum centroid displacement between iterations
 
 
 @dataclass(frozen=True)
@@ -37,42 +41,35 @@ class Granulation:
     def __post_init__(self):
         assignments = np.asarray(self.assignments, dtype=np.int64)
         centroids = np.asarray(self.centroids, dtype=np.float64)
+        members = tuple(np.asarray(g, dtype=np.int64) for g in self.granule_members)
         m = centroids.shape[0]
-        if len(self.granule_members) != m:
-            raise DataError("granule_members length does not match centroid count")
+        if m < 1 or len(members) != m:
+            raise DataError(
+                f"need one granule_members list per centroid and at least one centroid, "
+                f"got {len(members)} lists and {m} centroids"
+            )
+        if np.any(assignments < 0) or np.any(assignments >= m):
+            raise DataError(f"assignments must lie in [0, {m})")
         counts = np.bincount(assignments, minlength=m)
-        if counts.size != m or np.any(counts == 0):
+        if np.any(counts == 0):
             raise DataError("every granule must be nonempty")
-        total = 0
-        for k, members in enumerate(self.granule_members):
-            members = np.asarray(members, dtype=np.int64)
-            if not np.all(assignments[members] == k):
-                raise DataError("granule_members inconsistent with assignments")
-            total += members.size
-        if total != assignments.size:
-            raise DataError("granule_members do not partition the sample indices")
+        # the stable argsort lists each granule's rows in ascending order
+        if [g.shape for g in members] != [(c,) for c in counts.tolist()] or not np.array_equal(
+            np.concatenate(members), np.argsort(assignments, kind="stable")
+        ):
+            raise DataError(
+                "granule_members must list, in ascending order, exactly the rows "
+                "assigned to each granule"
+            )
         object.__setattr__(self, "assignments", assignments)
         object.__setattr__(self, "centroids", centroids)
-        object.__setattr__(
-            self,
-            "granule_members",
-            tuple(np.asarray(g, dtype=np.int64) for g in self.granule_members),
-        )
+        object.__setattr__(self, "granule_members", members)
         for arr in (self.assignments, self.centroids, *self.granule_members):
             arr.flags.writeable = False
 
     @property
     def m(self) -> int:
         return self.centroids.shape[0]
-
-
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """All pairwise squared Euclidean distances, points x centroids."""
-    p2 = np.einsum("ij,ij->i", points, points)[:, None]
-    c2 = np.einsum("ij,ij->i", centroids, centroids)[None, :]
-    d2 = p2 + c2 - 2.0 * points @ centroids.T
-    np.maximum(d2, 0.0, out=d2)
-    return d2
 
 
 def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -92,14 +89,14 @@ def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
     return X[chosen].copy()
 
 
-def _repair_empty(
-    X: np.ndarray, assignments: np.ndarray, centroids: np.ndarray, m: int
-) -> np.ndarray:
-    """Give every empty cluster one point so the nonempty invariant holds.
+def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid per row, then give every empty cluster one point.
 
     The point farthest from the empty cluster's current centroid is moved
     there, skipping points that are the sole member of their own cluster.
     """
+    m = centroids.shape[0]
+    assignments = np.argmin(squared_distances(X, centroids), axis=1)
     counts = np.bincount(assignments, minlength=m)
     for k in np.flatnonzero(counts == 0):
         dist = np.sum((X - centroids[k]) ** 2, axis=1)
@@ -115,73 +112,59 @@ def _repair_empty(
     return assignments
 
 
+def _error(X: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> float:
+    return float(np.sum((X - centroids[assignments]) ** 2))
+
+
 def _lloyd(
-    X: np.ndarray,
-    m: int,
-    centroids: np.ndarray,
-    max_iters: int,
-    tol: float,
-    error_trace: list | None,
+    X: np.ndarray, centroids: np.ndarray, error_trace: list | None
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
+    m = centroids.shape[0]
     assignments = None
-    iterations = 0
-    for _ in range(max_iters):
-        iterations += 1
-        d2 = _squared_distances(X, centroids)
-        new_assignments = np.argmin(d2, axis=1)
-        new_assignments = _repair_empty(X, new_assignments, centroids, m)
+    for iterations in range(1, MAX_ITERS + 1):
+        fresh = _assign(X, centroids)
         if error_trace is not None:
-            error_trace.append(
-                float(np.sum((X - centroids[new_assignments]) ** 2))
-            )
-        if assignments is not None and np.array_equal(new_assignments, assignments):
-            assignments = new_assignments
+            error_trace.append(_error(X, centroids, fresh))
+        if assignments is not None and np.array_equal(fresh, assignments):
             break
-        assignments = new_assignments
-        new_centroids = np.empty_like(centroids)
-        for k in range(m):
-            new_centroids[k] = X[assignments == k].mean(axis=0)
-        shift = np.max(np.linalg.norm(new_centroids - centroids, axis=1))
-        centroids = new_centroids
+        assignments = fresh
+        # each centroid is the mean of its cluster; add.at sums rows in index order
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignments, X)
+        updated = sums / np.bincount(assignments, minlength=m)[:, None]
+        shift = np.max(np.linalg.norm(updated - centroids, axis=1))
+        centroids = updated
         if error_trace is not None:
-            error_trace.append(float(np.sum((X - centroids[assignments]) ** 2)))
-        if shift < tol:
+            error_trace.append(_error(X, centroids, assignments))
+        if shift < TOL:
             # final consistency pass so assignments match the stored centroids
-            d2 = _squared_distances(X, centroids)
-            assignments = _repair_empty(X, np.argmin(d2, axis=1), centroids, m)
+            assignments = _assign(X, centroids)
             break
     else:
-        d2 = _squared_distances(X, centroids)
-        assignments = _repair_empty(X, np.argmin(d2, axis=1), centroids, m)
-    error = float(np.sum((X - centroids[assignments]) ** 2))
-    return assignments, centroids, error, iterations
+        assignments = _assign(X, centroids)
+    return assignments, centroids, _error(X, centroids, assignments), iterations
 
 
 def kmeans_granulate(
     data: Dataset,
     m: int,
     seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-6,
     restarts: int = 10,
     error_trace: list | None = None,
 ) -> Granulation:
     """Cluster the dataset into m granules.
 
     Runs `restarts` independently seeded Lloyd passes and keeps the one
-    with the lowest clustering error (ties to the earliest run). `tol` is
-    on the maximum centroid displacement between iterations. When an
-    `error_trace` list is supplied (debug aid, meaningful with
-    restarts=1) the per-step clustering errors are appended to it.
+    with the lowest clustering error (ties to the earliest run). Each pass
+    stops when the assignments repeat, when no centroid moves by TOL or
+    more, or after MAX_ITERS iterations. When an `error_trace` list is
+    supplied (debug aid, meaningful with restarts=1) the per-step
+    clustering errors are appended to it.
     """
     if m < 1:
         raise DataError("m must be >= 1")
     if m > data.l:
         raise DataError(f"m={m} exceeds the number of samples {data.l}")
-    if max_iters < 1:
-        raise DataError("max_iters must be >= 1")
-    if tol < 0:
-        raise DataError("tol must be >= 0")
     if restarts < 1:
         raise DataError("restarts must be >= 1")
 
@@ -189,18 +172,16 @@ def kmeans_granulate(
     rng = make_rng(seed)
     best = None
     for _ in range(restarts):
-        centroids = _seed_centroids(X, m, rng)
-        assignments, centroids, error, iterations = _lloyd(
-            X, m, centroids, max_iters, tol, error_trace
-        )
-        if best is None or error < best[2]:
-            best = (assignments, centroids, error, iterations)
+        run = _lloyd(X, _seed_centroids(X, m, rng), error_trace)
+        if best is None or run[2] < best[2]:
+            best = run
     assignments, centroids, error, iterations = best
-    members = tuple(np.flatnonzero(assignments == k) for k in range(m))
+    order = np.argsort(assignments, kind="stable")
+    bounds = np.cumsum(np.bincount(assignments, minlength=m))[:-1]
     return Granulation(
         assignments=assignments,
         centroids=centroids,
-        granule_members=members,
+        granule_members=tuple(np.split(order, bounds)),
         clustering_error=error,
         iterations_run=iterations,
         seed=seed,
@@ -219,4 +200,4 @@ def assign_to_granules(points: np.ndarray, granulation: Granulation) -> np.ndarr
             f"dimension mismatch: points have {points.shape[1]} columns, "
             f"centroids have {granulation.centroids.shape[1]}"
         )
-    return np.argmin(_squared_distances(points, granulation.centroids), axis=1)
+    return np.argmin(squared_distances(points, granulation.centroids), axis=1)

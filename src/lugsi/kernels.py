@@ -90,6 +90,15 @@ def kernel_eval(spec: KernelSpec, x, x2, nodes: int = CRO_QUADRATURE_NODES) -> f
     return float(_cro_from_cosine(np.asarray(u), spec.cro_gamma, nodes))
 
 
+def squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """All pairwise squared Euclidean distances, rows x cols, clipped at 0."""
+    r2 = np.einsum("ij,ij->i", rows, rows)[:, None]
+    c2 = np.einsum("ij,ij->i", cols, cols)[None, :]
+    d2 = r2 + c2 - 2.0 * rows @ cols.T
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
 def gram_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Kernel matrix between two point sets, entry (i,j) = K(rows[i], cols[j]).
 
@@ -108,11 +117,7 @@ def gram_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     if spec.kind == LINEAR:
         gram = rows @ cols.T
     elif spec.kind == RBF:
-        r2 = np.einsum("ij,ij->i", rows, rows)[:, None]
-        c2 = np.einsum("ij,ij->i", cols, cols)[None, :]
-        d2 = r2 + c2 - 2.0 * rows @ cols.T
-        np.maximum(d2, 0.0, out=d2)
-        gram = np.exp(-d2 / (2.0 * spec.delta * spec.delta))
+        gram = np.exp(-squared_distances(rows, cols) / (2.0 * spec.delta * spec.delta))
     else:
         gram = _cro_from_cosine(
             _cosine_similarity(rows, cols), spec.cro_gamma, CRO_QUADRATURE_NODES

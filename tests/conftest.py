@@ -1,42 +1,10 @@
-"""Shared fixtures plus the acceptance-criterion summary printer."""
-
-from pathlib import Path
+"""Shared fixtures and dataset helpers."""
 
 import numpy as np
 import pytest
 
 from lugsi import Dataset
 from lugsi.granulation import Granulation
-
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
-
-_criterion_results: dict = {}
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "criterion(number, description): acceptance criterion coverage"
-    )
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_makereport(item, call):
-    outcome = yield
-    report = outcome.get_result()
-    marker = item.get_closest_marker("criterion")
-    if marker and report.when == "call":
-        number, description = marker.args
-        passed = report.passed and _criterion_results.get((number, description), True)
-        _criterion_results[(number, description)] = passed
-
-
-def pytest_terminal_summary(terminalreporter):
-    if not _criterion_results:
-        return
-    terminalreporter.section("acceptance criteria")
-    for (number, description), passed in sorted(_criterion_results.items()):
-        status = "PASS" if passed else "FAIL"
-        terminalreporter.write_line(f"[{status}] criterion {number}: {description}")
 
 
 @pytest.fixture
@@ -64,19 +32,3 @@ def singleton_granulation(data, seed=0):
         iterations_run=1,
         seed=seed,
     )
-
-
-def uci_path(name: str) -> Path:
-    return DATA_DIR / name
-
-
-def require_dataset(name: str, hint: str) -> Path:
-    """Fail (not skip) when a real-data acceptance input is missing."""
-    path = uci_path(name)
-    if not path.exists():
-        pytest.fail(
-            f"required dataset {path} is missing; {hint} "
-            "(run scripts/fetch_datasets.py on a machine with network access)",
-            pytrace=False,
-        )
-    return path

@@ -184,6 +184,22 @@ class TestCv:
         assert a_rep.read_bytes() == b_rep.read_bytes()
         assert a_csv.read_bytes() == b_csv.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--c-grid", "1.0,x", "--c-grid expects comma-separated numbers"),
+            ("--m-grid", "2,2.5", "--m-grid expects comma-separated integers"),
+            ("--delta-grid", " , ", "--delta-grid must not be empty"),
+        ],
+    )
+    def test_malformed_grid_is_usage_error(self, tmp_path, train_csv, flag, value, message):
+        result = run_cli(
+            "cv", "--data", str(train_csv), flag, value,
+            "--report-out", str(tmp_path / "r.json"), "--csv-out", str(tmp_path / "r.csv"),
+        )
+        assert result.returncode == 2
+        assert message in result.stderr
+
 
 class TestBench:
     def test_cluster_sweep_rows(self, tmp_path, train_csv):

@@ -94,6 +94,12 @@ class TestLoadSparse:
         with pytest.raises(DataError, match="non-ascending index 1 at line 1"):
             load_sparse(path)
 
+    @pytest.mark.parametrize("index", [0, -2])
+    def test_index_below_one(self, tmp_path, index):
+        path = write(tmp_path, "t.txt", f"1 1:0.5\n1 {index}:0.5\n")
+        with pytest.raises(DataError, match=f"index {index} below 1 at line 2"):
+            load_sparse(path)
+
     def test_index_exceeds_hint(self, tmp_path):
         path = write(tmp_path, "t.txt", "1 4:0.5\n")
         with pytest.raises(DataError, match="exceeds dimension hint 3"):

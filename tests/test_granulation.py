@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import random_binary_dataset
 from oracles import best_two_partition_error
 
-from lugsi import DataError, Dataset, assign_to_granules, kmeans_granulate
+from lugsi import DataError, Dataset, assign_to_granules, generate_ndc, kmeans_granulate
+from lugsi.granulation import Granulation
 
 
 def make_dataset(seed, l=40, n=3):
@@ -81,6 +82,16 @@ class TestKmeansGranulate:
         with pytest.raises(DataError, match="exceeds"):
             kmeans_granulate(data, 11, seed=0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("m", [2, 5, 9])
+    def test_fixed_point_centroids_are_cluster_means(self, seed, m):
+        data = generate_ndc(240, 3, 5, seed=seed)
+        g = kmeans_granulate(data, m, seed=seed, restarts=2)
+        np.testing.assert_array_equal(assign_to_granules(data.features, g), g.assignments)
+        for k, members in enumerate(g.granule_members):
+            expected = data.features[members].mean(axis=0)
+            assert g.centroids[k].tobytes() == expected.tobytes()
+
     def test_duplicate_points_still_partition(self):
         features = np.array([[0.5, 0.5]] * 4 + [[0.1, 0.9]] * 2)
         data = Dataset(features, np.array([0, 1, 0, 1, 0, 1]))
@@ -114,3 +125,42 @@ class TestAssignToGranules:
         g = kmeans_granulate(data, 2, seed=0)
         with pytest.raises(DataError, match="dimension mismatch"):
             assign_to_granules(np.ones((2, 5)), g)
+
+
+class TestGranulationValidation:
+    def build(self, assignments, members, m=2):
+        return Granulation(
+            assignments=np.array(assignments, dtype=np.int64),
+            centroids=np.zeros((m, 2)),
+            granule_members=tuple(np.array(g) for g in members),
+            clustering_error=0.0,
+            iterations_run=1,
+            seed=0,
+        )
+
+    def test_consistent_partition_is_accepted(self):
+        g = self.build([1, 0, 1], [[1], [0, 2]])
+        assert g.m == 2
+        np.testing.assert_array_equal(g.granule_members[1], [0, 2])
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            [[0, 0], [2]],  # row 0 repeated, row 1 omitted
+            [[1, 0], [2]],  # members not ascending
+            [[0], [1, 2]],  # sizes disagree with the assignments
+            [[[0], [1]], [2]],  # a member list that is not a vector
+        ],
+    )
+    def test_members_must_list_exactly_the_assigned_rows(self, members):
+        with pytest.raises(DataError, match="exactly the rows assigned"):
+            self.build([0, 0, 1], members)
+
+    @pytest.mark.parametrize("assignments", [[0, -1, 1], [0, 2, 1]])
+    def test_assignment_out_of_range(self, assignments):
+        with pytest.raises(DataError, match=r"assignments must lie in \[0, 2\)"):
+            self.build(assignments, [[0], [1, 2]])
+
+    def test_no_granules(self):
+        with pytest.raises(DataError, match="at least one centroid"):
+            self.build([], [], m=0)
