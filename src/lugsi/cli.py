@@ -246,6 +246,8 @@ def cmd_predict(args, parser) -> int:
 
 
 def cmd_cv(args, parser) -> int:
+    if args.threads < 1:
+        parser.error("--threads must be >= 1")
     _check_output_path(args.report_out, parser)
     _check_output_path(args.csv_out, parser)
     data = _load_data(args)

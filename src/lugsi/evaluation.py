@@ -34,6 +34,8 @@ from .kernels import KernelSpec
 from .solver import fit_kernel_lugsi, fit_linear_lugsi, predict_labels
 
 SMALL_DATASET_LIMIT = 800
+# blobs in the synthetic data of benchmark_scaling
+_SCALING_DATA_CLUSTERS = 10
 
 
 def default_c_values() -> tuple[float, ...]:
@@ -341,6 +343,8 @@ def grid_search(
     """
     if kernel_kind not in ("linear", "rbf", "cro"):
         raise DataError(f"unknown kernel kind {kernel_kind!r}")
+    if threads < 1:
+        raise DataError("threads must be >= 1")
     if kernel_kind == "rbf" and not grid.delta_values:
         raise DataError("an rbf grid needs at least one delta value")
     configs = enumerate_configs(grid, kernel_kind, cro_gamma)
@@ -400,7 +404,6 @@ def benchmark_scaling(
     m: int,
     seed: int,
     gamma: float = 1.0,
-    data_clusters: int = 10,
     restarts: int = 2,
     include_v_matrix: bool = True,
     v_matrix_limit: int = 5000,
@@ -420,7 +423,7 @@ def benchmark_scaling(
     rows = []
     measure = MeasureSpec.uniform()
     for l in sizes:
-        raw = generate_ndc(l, features, data_clusters, seed)
+        raw = generate_ndc(l, features, _SCALING_DATA_CLUSTERS, seed)
         holdout = max(1, l // 5)
         train = raw.subset(np.arange(l - holdout))
         test = raw.subset(np.arange(l - holdout, l))

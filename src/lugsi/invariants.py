@@ -25,6 +25,9 @@ EMPIRICAL = "empirical"
 
 # refuse to materialize an l x l matrix above this row count unless overridden
 V_MATRIX_ROW_CAP = 10_000
+# reference rows per domination block: the (block, l, n) comparison is the
+# largest temporary of the empirical measure
+_REFERENCE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -83,16 +86,24 @@ def _require_unit_cube(points: np.ndarray) -> None:
         raise DataError("point outside the unit cube; minmax scale the data first")
 
 
+def _dominance_blocks(refs: np.ndarray, points: np.ndarray):
+    """Per block of reference rows, which of them dominate each point
+    componentwise (block x l booleans)."""
+    if refs.shape[1] != points.shape[1]:
+        raise DataError("reference points dimension mismatch")
+    for start in range(0, refs.shape[0], _REFERENCE_BLOCK):
+        block = refs[start:start + _REFERENCE_BLOCK]
+        yield np.all(block[:, None, :] >= points[None, :, :], axis=2)
+
+
 def _v_values(points: np.ndarray, measure: MeasureSpec) -> np.ndarray:
     if measure.kind == UNIFORM_UNIT_CUBE:
         _require_unit_cube(points)
         return np.prod(1.0 - points, axis=1)
-    refs = measure.reference_points
-    if refs.shape[1] != points.shape[1]:
-        raise DataError("reference points dimension mismatch")
     # fraction of reference points dominating each sample componentwise
-    dominates = np.all(refs[:, None, :] >= points[None, :, :], axis=2)
-    return dominates.sum(axis=0) / refs.shape[0]
+    refs = measure.reference_points
+    counts = sum(block.sum(axis=0) for block in _dominance_blocks(refs, points))
+    return counts / refs.shape[0]
 
 
 def v_value(point, measure: MeasureSpec) -> float:
@@ -185,9 +196,10 @@ def v_matrix(data: Dataset, measure: MeasureSpec, max_rows: int = V_MATRIX_ROW_C
             V *= 1.0 - np.maximum.outer(X[:, k], X[:, k])
         return V
     refs = measure.reference_points
-    if refs.shape[1] != data.n:
-        raise DataError("reference points dimension mismatch")
-    dominates = np.all(refs[:, None, :] >= X[None, :, :], axis=2).astype(np.float64)
-    V = dominates.T @ dominates
+    # integer counts, exact in float64 whatever the blocking
+    V = np.zeros((data.l, data.l), dtype=np.float64)
+    for block in _dominance_blocks(refs, X):
+        dominates = block.astype(np.float64)
+        V += dominates.T @ dominates
     V /= refs.shape[0]
     return (V + V.T) / 2.0

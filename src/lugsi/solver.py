@@ -18,7 +18,6 @@ share one closed-form solve, bias recovery and diagnostics.
 """
 
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .dataset import Dataset, ScalingParams
-from .errors import DataError, NumericError
+from .errors import DataError, LugsiError, NumericError
 from .granulation import Granulation
 from .invariants import GranuleInvariant
 from .kernels import KernelSpec, gram_block
@@ -50,8 +49,27 @@ class FitDiagnostics:
     objective_value: float
     gradient_norm: float
     system_condition_hint: float
-    wall_time: float
     bias_fallback: bool = False
+
+
+def _check_coefficients(model, full: str, bias: str, b_half: str, c_half: str) -> None:
+    """Copy, check finite and freeze a model's three coefficient vectors,
+    then check full = b_half - bias * c_half."""
+    for name in (full, b_half, c_half):
+        arr = np.asarray(getattr(model, name), dtype=np.float64).copy()
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"non-finite entries in {name}")
+        arr.flags.writeable = False
+        object.__setattr__(model, name, arr)
+    if not math.isfinite(getattr(model, bias)):
+        raise NumericError("non-finite bias")
+    params, p_b, p_c = getattr(model, full), getattr(model, b_half), getattr(model, c_half)
+    if params.ndim != 1 or not params.shape == p_b.shape == p_c.shape:
+        raise DataError(f"{full}, {b_half} and {c_half} must be vectors of one length")
+    recon = p_b - getattr(model, bias) * p_c
+    scale = 1.0 + float(np.max(np.abs(recon)))
+    if float(np.max(np.abs(params - recon))) > 1e-12 * scale:
+        raise NumericError(f"{full} does not match {b_half} - {bias}*{c_half}")
 
 
 @dataclass(frozen=True)
@@ -68,18 +86,7 @@ class LinearModel:
     scaling: ScalingParams
 
     def __post_init__(self):
-        for name in ("w", "w_b", "w_c"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"non-finite entries in {name}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not math.isfinite(self.b):
-            raise NumericError("non-finite bias")
-        recon = self.w_b - self.b * self.w_c
-        scale = 1.0 + float(np.max(np.abs(recon)))
-        if float(np.max(np.abs(self.w - recon))) > 1e-12 * scale:
-            raise NumericError("w does not match w_b - b*w_c")
+        _check_coefficients(self, "w", "b", "w_b", "w_c")
 
 
 @dataclass(frozen=True)
@@ -98,23 +105,20 @@ class KernelModel:
     scaling: ScalingParams
 
     def __post_init__(self):
-        for name in ("A", "A_b", "A_c"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"non-finite entries in {name}")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _check_coefficients(self, "A", "c", "A_b", "A_c")
         points = np.asarray(self.training_points, dtype=np.float64).copy()
         points.flags.writeable = False
         object.__setattr__(self, "training_points", points)
-        if self.A.shape[0] != points.shape[0]:
+        if points.ndim != 2 or self.A.shape[0] != points.shape[0]:
             raise DataError("coefficient length does not match stored training rows")
-        if not math.isfinite(self.c):
-            raise NumericError("non-finite bias")
-        recon = self.A_b - self.c * self.A_c
-        scale = 1.0 + float(np.max(np.abs(recon)))
-        if float(np.max(np.abs(self.A - recon))) > 1e-12 * scale:
-            raise NumericError("A does not match A_b - c*A_c")
+
+
+# model_kind -> (class, coefficient fields in document order): the
+# parameters, the bias, the two half-solutions, then any stored rows
+_KINDS = {
+    "linear": (LinearModel, ("w", "b", "w_b", "w_c")),
+    "kernel": (KernelModel, ("A", "c", "A_b", "A_c", "training_points")),
+}
 
 
 def _factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -161,7 +165,7 @@ def _design(data: Dataset, kernel: KernelSpec | None, max_rows: int) -> np.ndarr
 
 
 def _closed_form(
-    data, kernel, gamma, m, seed, scaling, started,
+    data, kernel, gamma, m, seed, scaling,
     DWD, DWy, DW1, oWy, oW1, oWD, residual_energy,
 ) -> tuple[LinearModel | KernelModel, FitDiagnostics]:
     """The solve, model and diagnostics shared by every fit mode.
@@ -174,6 +178,8 @@ def _closed_form(
     falls back to b = 0 with the diagnostics flag set. Then p = p_b - b*p_c.
     `residual_energy(p, b)` returns r^T W r for the objective.
     """
+    if not gamma > 0.0:
+        raise DataError("gamma must be positive")
     gamma_eff = gamma * m
     M = DWD
     M[np.diag_indices(M.shape[0])] += gamma_eff
@@ -188,28 +194,20 @@ def _closed_form(
     grad = np.append(M @ params + bias * DW1 - DWy, oWD @ params + bias * oW1 - oWy)
     if scaling is None:
         scaling = ScalingParams(np.zeros(data.n), np.ones(data.n))
-    if kernel is None:
-        model: LinearModel | KernelModel = LinearModel(
-            w=params, b=bias, w_b=p_b, w_c=p_c,
-            gamma=gamma, m=m, seed=seed, scaling=scaling,
-        )
-    else:
-        model = KernelModel(
-            A=params, c=bias, A_b=p_b, A_c=p_c,
-            training_points=data.features, kernel=kernel,
-            gamma=gamma, m=m, seed=seed, scaling=scaling,
-        )
+    cls, fields = _KINDS["linear" if kernel is None else "kernel"]
+    coefficients = dict(zip(fields, (params, bias, p_b, p_c, data.features)))
+    spec = {} if kernel is None else {"kernel": kernel}
+    model = cls(**coefficients, **spec, gamma=gamma, m=m, seed=seed, scaling=scaling)
     diagnostics = FitDiagnostics(
         objective_value=float(residual_energy(params, bias) + gamma_eff * (params @ params)),
         gradient_norm=2.0 * float(np.linalg.norm(grad)),
         system_condition_hint=cond,
-        wall_time=time.perf_counter() - started,
         bias_fallback=fallback,
     )
     return model, diagnostics
 
 
-def _rank_one_fit(data, kernel, P, s, t, gamma, m, seed, scaling, started):
+def _rank_one_fit(data, kernel, P, s, t, gamma, m, seed, scaling):
     """`_closed_form` for W = sum_k v_k v_k^T, from the accumulations (P, s, t)."""
 
     def residual_energy(p, bias):
@@ -217,7 +215,7 @@ def _rank_one_fit(data, kernel, P, s, t, gamma, m, seed, scaling, started):
         return resid @ resid
 
     return _closed_form(
-        data, kernel, gamma, m, seed, scaling, started,
+        data, kernel, gamma, m, seed, scaling,
         P.T @ P, P.T @ t, P.T @ s, s @ t, s @ s, s @ P, residual_energy,
     )
 
@@ -236,9 +234,6 @@ def _granulated_fit(
     Accumulates row k of P as design_k^T v_k, s_k = sum(v_k) and
     t_k = v_k^T Y_k.
     """
-    started = time.perf_counter()
-    if not gamma > 0.0:
-        raise DataError("gamma must be positive")
     if granulation.assignments.shape[0] != data.l:
         raise DataError("granulation does not match the dataset")
     if len(invariants) != granulation.m:
@@ -258,7 +253,7 @@ def _granulated_fit(
         P[k] = v @ design[members]
         s[k] = v.sum()
         t[k] = invariants[k].target
-    return _rank_one_fit(data, kernel, P, s, t, gamma, m, granulation.seed, scaling, started)
+    return _rank_one_fit(data, kernel, P, s, t, gamma, m, granulation.seed, scaling)
 
 
 def fit_linear_lugsi(
@@ -315,14 +310,11 @@ def fit_lssvm(
     computed directly from the design matrix for speed. A kernel spec
     switches to the kernel parameterization.
     """
-    started = time.perf_counter()
-    if not gamma > 0.0:
-        raise DataError("gamma must be positive")
     design = _design(data, kernel, max_system_rows)
     # singleton granules with unit predicates: P rows are the design rows
     return _rank_one_fit(
         data, kernel, design, np.ones(data.l), data.labels.astype(np.float64),
-        gamma, data.l, seed, scaling, started,
+        gamma, data.l, seed, scaling,
     )
 
 
@@ -340,9 +332,6 @@ def fit_vsvm(
     Minimizes (F - Y)^T V (F - Y) + gamma * ||params||^2 with no rank-one
     shortcut (m = 1); kept for equivalence cross-checks and small problems.
     """
-    started = time.perf_counter()
-    if not gamma > 0.0:
-        raise DataError("gamma must be positive")
     if data.l > max_rows:
         raise DataError(f"V-matrix mode refuses l={data.l} rows (cap {max_rows})")
     V = np.asarray(V, dtype=np.float64)
@@ -366,7 +355,7 @@ def fit_vsvm(
         return resid @ (V @ resid)
 
     return _closed_form(
-        data, kernel, gamma, 1, seed, scaling, started,
+        data, kernel, gamma, 1, seed, scaling,
         design.T @ (V @ design), design.T @ (V @ labels), design.T @ (V @ ones),
         oV @ labels, oV @ ones, oV @ design, residual_energy,
     )
@@ -377,18 +366,15 @@ def decision_values(model: LinearModel | KernelModel, points: np.ndarray) -> np.
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise DataError("points must be a 2-d matrix")
-    if isinstance(model, LinearModel):
-        if points.shape[1] != model.w.shape[0]:
-            raise DataError(
-                f"dimension mismatch: points have {points.shape[1]} features, "
-                f"model expects {model.w.shape[0]}"
-            )
-        return points @ model.w + model.b
-    if points.shape[1] != model.training_points.shape[1]:
+    linear = isinstance(model, LinearModel)
+    expected = model.w.shape[0] if linear else model.training_points.shape[1]
+    if points.shape[1] != expected:
         raise DataError(
             f"dimension mismatch: points have {points.shape[1]} features, "
-            f"model expects {model.training_points.shape[1]}"
+            f"model expects {expected}"
         )
+    if linear:
+        return points @ model.w + model.b
     return gram_block(model.kernel, points, model.training_points) @ model.A + model.c
 
 
@@ -414,35 +400,20 @@ _FORMAT_VERSION = 1
 
 def model_document(model: LinearModel | KernelModel) -> dict:
     """Serializable description of a fitted model (versioned)."""
-    doc: dict = {"format_version": _FORMAT_VERSION}
-    if isinstance(model, LinearModel):
-        doc["model_kind"] = "linear"
-        doc["kernel"] = None
-    else:
-        doc["model_kind"] = "kernel"
-        doc["kernel"] = {
-            "kind": model.kernel.kind,
-            "delta": model.kernel.delta,
-            "cro_gamma": model.kernel.cro_gamma,
-        }
-    doc["gamma"] = model.gamma
-    doc["m"] = model.m
-    doc["seed"] = model.seed
-    doc["scaling"] = {
-        "minimum": model.scaling.minimum,
-        "maximum": model.scaling.maximum,
+    kind = "linear" if isinstance(model, LinearModel) else "kernel"
+    spec = getattr(model, "kernel", None)
+    doc: dict = {
+        "format_version": _FORMAT_VERSION,
+        "model_kind": kind,
+        "kernel": None if spec is None else {
+            "kind": spec.kind, "delta": spec.delta, "cro_gamma": spec.cro_gamma,
+        },
+        "gamma": model.gamma,
+        "m": model.m,
+        "seed": model.seed,
+        "scaling": {"minimum": model.scaling.minimum, "maximum": model.scaling.maximum},
     }
-    if isinstance(model, LinearModel):
-        doc["w"] = model.w
-        doc["b"] = model.b
-        doc["w_b"] = model.w_b
-        doc["w_c"] = model.w_c
-    else:
-        doc["A"] = model.A
-        doc["c"] = model.c
-        doc["A_b"] = model.A_b
-        doc["A_c"] = model.A_c
-        doc["training_points"] = model.training_points
+    doc.update((name, getattr(model, name)) for name in _KINDS[kind][1])
     return doc
 
 
@@ -451,41 +422,38 @@ def save_model(model: LinearModel | KernelModel, path) -> None:
 
 
 def load_model(path) -> LinearModel | KernelModel:
-    """Rebuild a model from its serialized document (bitwise round-trip)."""
-    doc = load_document(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format_version") != _FORMAT_VERSION:
-        raise DataError(f"unsupported model format version {doc.get('format_version')!r}")
-    scaling = ScalingParams(
-        np.asarray(doc["scaling"]["minimum"], dtype=np.float64),
-        np.asarray(doc["scaling"]["maximum"], dtype=np.float64),
-    )
-    if doc["model_kind"] == "linear":
-        return LinearModel(
-            w=np.asarray(doc["w"], dtype=np.float64),
-            b=float(doc["b"]),
-            w_b=np.asarray(doc["w_b"], dtype=np.float64),
-            w_c=np.asarray(doc["w_c"], dtype=np.float64),
+    """Rebuild a model from its serialized document (bitwise round-trip).
+
+    An unreadable file, text that is not a model document, or a missing or
+    mistyped field raises DataError; coefficients that fail the model's
+    own checks raise NumericError.
+    """
+    try:
+        doc = load_document(Path(path).read_text(encoding="utf-8"))
+        if doc.get("format_version") != _FORMAT_VERSION:
+            raise DataError(f"unsupported model format version {doc.get('format_version')!r}")
+        if doc["model_kind"] not in _KINDS:
+            raise DataError(f"unknown model kind {doc['model_kind']!r}")
+        cls, fields = _KINDS[doc["model_kind"]]
+        coefficients = {name: np.asarray(doc[name], dtype=np.float64) for name in fields}
+        coefficients[fields[1]] = float(doc[fields[1]])
+        if cls is KernelModel:
+            spec = doc["kernel"]
+            coefficients["kernel"] = KernelSpec(
+                kind=spec["kind"], delta=float(spec["delta"]), cro_gamma=float(spec["cro_gamma"])
+            )
+        scaling = doc["scaling"]
+        return cls(
+            **coefficients,
             gamma=float(doc["gamma"]),
             m=int(doc["m"]),
             seed=int(doc["seed"]),
-            scaling=scaling,
+            scaling=ScalingParams(
+                np.asarray(scaling["minimum"], dtype=np.float64),
+                np.asarray(scaling["maximum"], dtype=np.float64),
+            ),
         )
-    if doc["model_kind"] == "kernel":
-        spec = KernelSpec(
-            kind=doc["kernel"]["kind"],
-            delta=float(doc["kernel"]["delta"]),
-            cro_gamma=float(doc["kernel"]["cro_gamma"]),
-        )
-        return KernelModel(
-            A=np.asarray(doc["A"], dtype=np.float64),
-            c=float(doc["c"]),
-            A_b=np.asarray(doc["A_b"], dtype=np.float64),
-            A_c=np.asarray(doc["A_c"], dtype=np.float64),
-            training_points=np.asarray(doc["training_points"], dtype=np.float64),
-            kernel=spec,
-            gamma=float(doc["gamma"]),
-            m=int(doc["m"]),
-            seed=int(doc["seed"]),
-            scaling=scaling,
-        )
-    raise DataError(f"unknown model kind {doc['model_kind']!r}")
+    except LugsiError:
+        raise
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise DataError(f"cannot load model {path}: {type(exc).__name__}: {exc}") from None

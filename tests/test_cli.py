@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and file determinism."""
 
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from lugsi import (
     load_csv,
     load_model,
     predict_labels,
+    save_model,
 )
 from lugsi.evaluation import train_fold_pipeline
 
@@ -33,6 +35,11 @@ def run_cli(*args, cwd=None):
         cwd=cwd,
         env=env,
     )
+
+
+def _rewrite(change):
+    """A model-file edit: parse the JSON text, change it, write it back."""
+    return lambda text: json.dumps(change(json.loads(text)))
 
 
 @pytest.fixture
@@ -146,6 +153,40 @@ class TestPredict:
         rows = [line for line in out.read_text().splitlines() if "," in line][1:]
         assert all(line.split(",")[2] == "1" for line in rows)
 
+    @pytest.mark.parametrize(
+        "edit, code",
+        [
+            (None, 3),
+            (lambda text: text[: len(text) // 2], 3),
+            (_rewrite(lambda doc: {k: v for k, v in doc.items() if k != "w_c"}), 3),
+            (_rewrite(lambda doc: [doc]), 3),
+            (_rewrite(lambda doc: {**doc, "w": "abc"}), 3),
+            (_rewrite(lambda doc: {**doc, "m": [3]}), 3),
+            (_rewrite(lambda doc: {**doc, "w": doc["w"] + [0.0]}), 3),
+            (_rewrite(lambda doc: {**doc, "b": doc["b"] + 1.0}), 4),
+        ],
+        ids=[
+            "missing_file", "truncated_json", "missing_field", "top_level_list",
+            "mistyped_vector", "mistyped_integer", "uneven_vectors", "w_off_half_solutions",
+        ],
+    )
+    def test_malformed_model_file(self, tmp_path, train_csv, edit, code):
+        model_path = tmp_path / "model.json"
+        if edit is not None:
+            model, _, _ = train_fold_pipeline(
+                load_csv(train_csv), CVConfig("linear", gamma=0.1, m=3), seed=2, restarts=2
+            )
+            save_model(model, model_path)
+            model_path.write_text(edit(model_path.read_text()), encoding="utf-8")
+        result = run_cli(
+            "predict", "--model", str(model_path), "--data", str(train_csv),
+            "--out", str(tmp_path / "p.csv"),
+        )
+        assert result.returncode == code, result.stderr
+        prefix = "data error: " if code == 3 else "numeric error: "
+        assert result.stderr.startswith(prefix), result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_dimension_mismatch_is_data_error(self, tmp_path, train_csv):
         model_path = tmp_path / "model.json"
         run_cli("train", "--data", str(train_csv), "--model-out", str(model_path))
@@ -199,6 +240,17 @@ class TestCv:
         )
         assert result.returncode == 2
         assert message in result.stderr
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_count_below_one_is_usage_error(self, tmp_path, train_csv, threads):
+        result = run_cli(
+            "cv", "--data", str(train_csv), "--c-grid", "1.0", "--m-grid", "2",
+            "--threads", threads,
+            "--report-out", str(tmp_path / "r.json"), "--csv-out", str(tmp_path / "r.csv"),
+        )
+        assert result.returncode == 2
+        assert "--threads must be >= 1" in result.stderr
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestBench:

@@ -255,6 +255,15 @@ class TestGridSearch:
         assert calls == []
         assert len(grid_search(data, grid, "linear").results) == 1
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_is_rejected(self, rng, monkeypatch, threads):
+        calls = count_granulations(monkeypatch)
+        data = random_binary_dataset(rng, 20, 2)
+        grid = GridSpec(c_values=(1.0,), delta_values=(), m_values=(2,), folds=4, seed=0)
+        with pytest.raises(DataError, match="threads"):
+            grid_search(data, grid, "linear", threads=threads)
+        assert calls == []
+
     def test_report_document_zero_timing(self, rng):
         data = random_binary_dataset(rng, 18, 2)
         grid = GridSpec(c_values=(1.0,), delta_values=(1.0,), m_values=(2,), folds=3, seed=0)

@@ -1,5 +1,7 @@
 """v-values, granule invariants, and the full pairwise matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,42 @@ class TestVMatrix:
         data = random_binary_dataset(rng, 40, 2)
         with pytest.raises(DataError, match="cap"):
             v_matrix(data, MeasureSpec.uniform(), max_rows=30)
+
+
+class TestEmpiricalMeasureBlocks:
+    """Domination counts accumulate over blocks of reference rows."""
+
+    def test_counts_across_blocks_match_dense(self, rng):
+        data = Dataset(np.round(rng.random((40, 3)), 1), rng.integers(0, 2, 40))
+        refs = np.round(rng.random((300, 3)), 1)
+        measure = MeasureSpec.empirical(refs)
+        dominates = np.all(refs[:, None, :] >= data.features[None, :, :], axis=2)
+        values = [v_value(x, measure) for x in data.features]
+        assert values == [domination_fraction(x, refs) for x in data.features]
+        dense = dominates.astype(np.float64)
+        expected = dense.T @ dense / refs.shape[0]
+        assert v_matrix(data, measure).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "build, l, n, bound_mb",
+        [
+            (lambda d, m: granule_v_vectors(d, kmeans_granulate(d, 1, 0, restarts=1), m),
+             1500, 16, 12.0),
+            (v_matrix, 400, 300, 24.0),
+        ],
+        ids=["v_values", "v_matrix"],
+    )
+    def test_no_reference_by_row_by_feature_temporary(self, rng, build, l, n, bound_mb):
+        # an (r, l, n) boolean takes l * l * n bytes here: 36 MB and 48 MB
+        data = random_binary_dataset(rng, l, n)
+        measure = MeasureSpec.empirical(data.features)
+        tracemalloc.start()
+        try:
+            build(data, measure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mb * 1e6
 
 
 class TestRankOneIdentity:

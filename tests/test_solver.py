@@ -446,11 +446,16 @@ class TestSerialization:
         save_model(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
-    def test_kernel_roundtrip_bitwise(self, tmp_path, rng):
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec("rbf", delta=0.5), KernelSpec("cro", cro_gamma=0.3)],
+        ids=["rbf", "cro"],
+    )
+    def test_kernel_roundtrip_bitwise(self, tmp_path, rng, spec):
         data = random_binary_dataset(rng, 9, 3)
         g = kmeans_granulate(data, 3, seed=0)
         invs = granule_v_vectors(data, g, MeasureSpec.uniform())
-        model, _ = fit_kernel_lugsi(data, g, invs, KernelSpec("rbf", delta=0.5), 0.2)
+        model, _ = fit_kernel_lugsi(data, g, invs, spec, 0.2)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -461,3 +466,5 @@ class TestSerialization:
         values_original = decision_values(model, data.features)
         values_loaded = decision_values(loaded, data.features)
         assert values_original.tobytes() == values_loaded.tobytes()
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
