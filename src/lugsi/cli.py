@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -94,12 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="v-value measure (empirical uses the training set as reference); "
         "each granule's v-values are normalized to maximum 1, as in cv",
     )
-    p_train.add_argument("--model-out", required=True)
+    p_train.add_argument("--model-out", required=True, type=_output_path)
+    p_train.set_defaults(handler=cmd_train)
 
     p_pred = sub.add_parser("predict", help="apply a stored model to data")
     _add_data_flags(p_pred)
     p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--out", required=True)
+    p_pred.add_argument("--out", required=True, type=_output_path)
+    p_pred.set_defaults(handler=cmd_predict)
 
     p_cv = sub.add_parser("cv", help="cross-validated grid search")
     _add_data_flags(p_cv)
@@ -114,8 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=int, default=1, help="worker processes over (fold, m) units"
     )
     p_cv.add_argument("--timing", choices=("wall", "zero"), default="wall")
-    p_cv.add_argument("--report-out", required=True)
-    p_cv.add_argument("--csv-out", required=True)
+    p_cv.add_argument("--report-out", required=True, type=_output_path)
+    p_cv.add_argument("--csv-out", required=True, type=_output_path)
+    p_cv.set_defaults(handler=cmd_cv)
 
     p_bench = sub.add_parser("bench", help="timing and accuracy sweeps")
     bench_sub = p_bench.add_subparsers(dest="sweep", required=True)
@@ -129,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sizes.add_argument("--restarts", type=int, default=2)
     p_sizes.add_argument("--no-v-matrix", action="store_true", help="skip the contrast column")
     p_sizes.add_argument("--timing", choices=("wall", "zero"), default="wall")
-    p_sizes.add_argument("--out", required=True)
+    p_sizes.add_argument("--out", required=True, type=_output_path)
+    p_sizes.set_defaults(handler=cmd_bench_sizes)
 
     p_mlist = bench_sub.add_parser("clusters", help="accuracy/time sweep over granule counts")
     _add_data_flags(p_mlist)
@@ -140,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mlist.add_argument("--seed", type=int, default=0)
     p_mlist.add_argument("--restarts", type=int, default=10)
     p_mlist.add_argument("--timing", choices=("wall", "zero"), default="wall")
-    p_mlist.add_argument("--out", required=True)
+    p_mlist.add_argument("--out", required=True, type=_output_path)
+    p_mlist.set_defaults(handler=cmd_bench_clusters)
 
     p_gran = sub.add_parser("granulate", help="cluster the data and emit assignments")
     _add_data_flags(p_gran)
@@ -148,7 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gran.add_argument("--seed", type=int, default=0)
     p_gran.add_argument("--restarts", type=int, default=10)
     p_gran.add_argument("--emit-v", action="store_true", help="include uniform-measure v-values")
-    p_gran.add_argument("--out", required=True)
+    p_gran.add_argument("--out", required=True, type=_output_path)
+    p_gran.set_defaults(handler=cmd_granulate)
 
     return parser
 
@@ -159,21 +166,21 @@ def _load_data(args) -> Dataset:
     return load_sparse(args.data, dimension_hint=args.dimension_hint)
 
 
-def _resolve_gamma(args, parser: argparse.ArgumentParser) -> float:
-    if args.gamma is not None and args.cost is not None:
+def _resolve_gamma(gamma: float | None, cost: float | None, parser) -> float:
+    if gamma is not None and cost is not None:
         parser.error("--gamma and --cost are mutually exclusive")
-    if args.cost is not None:
-        if args.cost <= 0:
-            parser.error("--cost must be positive")
-        return 1.0 / args.cost
-    if args.gamma is not None:
-        if args.gamma <= 0:
-            parser.error("--gamma must be positive")
-        return args.gamma
-    return 1.0
+    for flag, value in (("--cost", cost), ("--gamma", gamma)):
+        if value is not None and not 0 < value < math.inf:
+            parser.error(f"{flag} must be positive")
+    if cost is not None:
+        return 1.0 / cost
+    return 1.0 if gamma is None else gamma
 
 
-def _parse_list(text: str, kind: type, flag: str, parser) -> tuple:
+def _parse_list(text: str | None, kind: type, flag: str, parser, default=None) -> tuple:
+    """Comma-separated values of `kind`; an absent or empty flag gives `default` if set."""
+    if not text and default is not None:
+        return default
     try:
         values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
@@ -184,28 +191,32 @@ def _parse_list(text: str, kind: type, flag: str, parser) -> tuple:
     return values
 
 
-def _check_output_path(path: str, parser) -> None:
-    parent = Path(path).parent
-    if parent and not parent.exists():
-        parser.error(f"output directory does not exist: {parent}")
+def _output_path(text: str) -> str:
+    """argparse type of an output file flag: a file path in an existing directory."""
+    path = Path(text)
+    if not path.parent.exists():
+        raise argparse.ArgumentTypeError(f"output directory does not exist: {path.parent}")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"output directory is not a directory: {path.parent}")
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"output path is a directory: {path}")
+    return text
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_table(path: str, command: str, pairs, columns: str, rows, trailer=()) -> None:
+    """Write a provenance line, the column line, one CSV line per row, then the trailer."""
+    provenance = " ".join(f"{key}={value}" for key, value in pairs)
+    lines = [f"# lugsi {command} format_version=1 {provenance}", columns]
+    lines.extend(csv_line(*row) for row in rows)
+    lines.extend(trailer)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-
-
-def _header(command: str, pairs: list[tuple[str, object]]) -> list[str]:
-    parts = " ".join(f"{key}={value}" for key, value in pairs)
-    return [f"# lugsi {command} format_version=1 {parts}"]
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def cmd_train(args, parser) -> int:
-    gamma = _resolve_gamma(args, parser)
+    gamma = _resolve_gamma(args.gamma, args.cost, parser)
     if args.clusters < 1:
         parser.error("m must be >= 1")
-    _check_output_path(args.model_out, parser)
     data = _load_data(args)
     scaled, params = minmax_scale(data)
     started = time.perf_counter()
@@ -231,45 +242,35 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_predict(args, parser) -> int:
-    _check_output_path(args.out, parser)
     model = load_model(args.model)
     data = _load_data(args)
     scaled = apply_scaling(data, model.scaling)
     values = decision_values(model, scaled.features)
     labels = (values >= 0.5).astype(np.int64)
-    lines = _header("predict", [("model", args.model), ("data", args.data)])
-    lines.append("index,decision_value,label")
-    for i in range(values.shape[0]):
-        lines.append(csv_line(i, values[i], int(labels[i])))
-    _write_lines(args.out, lines)
+    _write_table(
+        args.out,
+        "predict",
+        [("model", args.model), ("data", args.data)],
+        "index,decision_value,label",
+        ((i, values[i], int(labels[i])) for i in range(values.shape[0])),
+    )
     return EXIT_OK
 
 
 def cmd_cv(args, parser) -> int:
     if args.threads < 1:
         parser.error("--threads must be >= 1")
-    _check_output_path(args.report_out, parser)
-    _check_output_path(args.csv_out, parser)
+    c_values = _parse_list(args.c_grid, float, "--c-grid", parser, default_c_values())
+    delta_values = _parse_list(
+        args.delta_grid, float, "--delta-grid", parser, default_delta_values()
+    )
+    # The default m grid depends on the row count, so it waits for the data.
+    m_values = _parse_list(args.m_grid, int, "--m-grid", parser, default=())
     data = _load_data(args)
-    c_values = (
-        _parse_list(args.c_grid, float, "--c-grid", parser)
-        if args.c_grid
-        else default_c_values()
-    )
-    delta_values = (
-        _parse_list(args.delta_grid, float, "--delta-grid", parser)
-        if args.delta_grid
-        else default_delta_values()
-    )
-    m_values = (
-        _parse_list(args.m_grid, int, "--m-grid", parser)
-        if args.m_grid
-        else default_m_values(data.l)
-    )
     grid = GridSpec(
         c_values=c_values,
         delta_values=delta_values,
-        m_values=m_values,
+        m_values=m_values or default_m_values(data.l),
         folds=args.folds,
         seed=args.seed,
     )
@@ -282,19 +283,14 @@ def cmd_cv(args, parser) -> int:
         threads=args.threads,
         time_tiebreak=args.timing == "wall",
     )
-    header_pairs = [
-        ("data", args.data),
-        ("kernel", args.kernel),
-        ("folds", args.folds),
-        ("seed", args.seed),
-        ("timing", args.timing),
-    ]
+    keys = ("data", "kernel", "folds", "seed", "timing")
+    header_pairs = [(key, getattr(args, key)) for key in keys]
     doc = {"header": dict(header_pairs)}
     doc.update(report_document(report, timing=args.timing))
-    _write_lines(args.report_out, [dump_document(doc).rstrip("\n")])
-    lines = _header("cv", header_pairs)
-    lines.extend(plot_csv_lines(report, timing=args.timing))
-    _write_lines(args.csv_out, lines)
+    Path(args.report_out).write_text(dump_document(doc), encoding="utf-8", newline="\n")
+    columns, *rows = plot_csv_lines(report, timing=args.timing)
+    # plot_csv_lines rows come joined already; a one-field row is written as is.
+    _write_table(args.csv_out, "cv", header_pairs, columns, ((row,) for row in rows))
     best = report.best
     print(f"best_mean_accuracy {fmt_float(best.mean_accuracy)}")
     print(
@@ -307,14 +303,14 @@ def cmd_cv(args, parser) -> int:
 
 
 def cmd_bench_sizes(args, parser) -> int:
-    _check_output_path(args.out, parser)
     sizes = _parse_list(args.sizes, int, "--sizes", parser)
+    gamma = _resolve_gamma(args.gamma, None, parser)
     rows = benchmark_scaling(
         sizes,
         features=args.features,
         m=args.clusters,
         seed=args.seed,
-        gamma=args.gamma,
+        gamma=gamma,
         restarts=args.restarts,
         include_v_matrix=not args.no_v_matrix,
     )
@@ -325,20 +321,13 @@ def cmd_bench_sizes(args, parser) -> int:
             return "NA"
         return fmt_float(0.0 if zero else value)
 
-    lines = _header(
+    _write_table(
+        args.out,
         "bench-sizes",
-        [
-            ("sizes", args.sizes),
-            ("features", args.features),
-            ("clusters", args.clusters),
-            ("seed", args.seed),
-            ("timing", args.timing),
-        ],
-    )
-    lines.append("l,granulate_seconds,assembly_seconds,fit_seconds,v_matrix_seconds,accuracy")
-    for row in rows:
-        lines.append(
-            csv_line(
+        [(key, getattr(args, key)) for key in ("sizes", "features", "clusters", "seed", "timing")],
+        "l,granulate_seconds,assembly_seconds,fit_seconds,v_matrix_seconds,accuracy",
+        (
+            (
                 row.l,
                 fmt_time(row.granulate_seconds),
                 fmt_time(row.assembly_seconds),
@@ -346,18 +335,18 @@ def cmd_bench_sizes(args, parser) -> int:
                 fmt_time(row.v_matrix_seconds),
                 row.holdout_accuracy,
             )
-        )
-    _write_lines(args.out, lines)
+            for row in rows
+        ),
+    )
     return EXIT_OK
 
 
 def cmd_bench_clusters(args, parser) -> int:
-    _check_output_path(args.out, parser)
-    gamma = _resolve_gamma(args, parser)
-    data = _load_data(args)
+    gamma = _resolve_gamma(args.gamma, args.cost, parser)
     m_values = _parse_list(args.m_list, int, "--m-list", parser)
     if any(m < 1 for m in m_values):
         parser.error("m must be >= 1")
+    data = _load_data(args)
     config = CVConfig(
         kernel_kind=args.kernel,
         gamma=gamma,
@@ -367,7 +356,8 @@ def cmd_bench_clusters(args, parser) -> int:
     )
     rows = cluster_sweep(data, m_values, config, args.folds, args.seed, args.restarts)
     zero = args.timing == "zero"
-    lines = _header(
+    _write_table(
+        args.out,
         "bench-clusters",
         [
             ("data", args.data),
@@ -377,61 +367,41 @@ def cmd_bench_clusters(args, parser) -> int:
             ("seed", args.seed),
             ("timing", args.timing),
         ],
+        "m,accuracy,train_seconds",
+        ((row.m, row.mean_accuracy, 0.0 if zero else row.mean_train_seconds) for row in rows),
     )
-    lines.append("m,accuracy,train_seconds")
-    for row in rows:
-        lines.append(
-            csv_line(row.m, row.mean_accuracy, 0.0 if zero else row.mean_train_seconds)
-        )
-    _write_lines(args.out, lines)
     return EXIT_OK
 
 
 def cmd_granulate(args, parser) -> int:
     if args.clusters < 1:
         parser.error("m must be >= 1")
-    _check_output_path(args.out, parser)
     data = _load_data(args)
     scaled, _ = minmax_scale(data)
     granulation = kmeans_granulate(scaled, args.clusters, args.seed, restarts=args.restarts)
-    lines = _header(
-        "granulate",
-        [
-            ("data", args.data),
-            ("clusters", args.clusters),
-            ("seed", args.seed),
-            ("emit_v", args.emit_v),
-        ],
-    )
+    assignments = enumerate(granulation.assignments.tolist())
     if args.emit_v:
         measure = MeasureSpec.uniform()
-        lines.append("sample_index,granule_index,v_value")
-        for i in range(data.l):
-            value = v_value(scaled.features[i], measure)
-            lines.append(csv_line(i, int(granulation.assignments[i]), value))
+        columns = "sample_index,granule_index,v_value"
+        rows = ((i, g, v_value(scaled.features[i], measure)) for i, g in assignments)
     else:
-        lines.append("sample_index,granule_index")
-        for i in range(data.l):
-            lines.append(csv_line(i, int(granulation.assignments[i])))
-    lines.append(f"# clustering_error={fmt_float(granulation.clustering_error)}")
-    _write_lines(args.out, lines)
+        columns, rows = "sample_index,granule_index", assignments
+    _write_table(
+        args.out,
+        "granulate",
+        [(key, getattr(args, key)) for key in ("data", "clusters", "seed", "emit_v")],
+        columns,
+        rows,
+        trailer=[f"# clustering_error={fmt_float(granulation.clustering_error)}"],
+    )
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "train": cmd_train,
-        "predict": cmd_predict,
-        "cv": cmd_cv,
-        "granulate": cmd_granulate,
-    }
     try:
-        if args.command == "bench":
-            handler = cmd_bench_sizes if args.sweep == "sizes" else cmd_bench_clusters
-            return handler(args, parser)
-        return handlers[args.command](args, parser)
+        return args.handler(args, parser)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

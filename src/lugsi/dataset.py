@@ -142,6 +142,18 @@ def _check_label_convention(saw_negative: bool, saw_zero: bool) -> None:
         raise DataError("ambiguous label convention: file mixes -1 and 0 labels")
 
 
+def _read_lines(path) -> list[str]:
+    """All lines of a UTF-8 text file, endings kept; unreadable input is a DataError."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"file not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
 def load_csv(path, has_header: bool = False, label_column: int | None = None) -> Dataset:
     """Load a dense CSV file into a Dataset.
 
@@ -149,20 +161,15 @@ def load_csv(path, has_header: bool = False, label_column: int | None = None) ->
     0/1 or -1/+1 convention; anything else is rejected with the offending
     row number (1-based, counting the header if present).
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
     rows: list[list[str]] = []
     header: list[str] | None = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if has_header and header is None:
-                header = [cell.strip() for cell in row]
-                continue
-            rows.append([cell.strip() for cell in row])
+    for row in csv.reader(_read_lines(path)):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if has_header and header is None:
+            header = [cell.strip() for cell in row]
+            continue
+        rows.append([cell.strip() for cell in row])
     if not rows:
         raise DataError(f"empty file: {path}")
 
@@ -209,42 +216,38 @@ def load_sparse(path, dimension_hint: int | None = None) -> Dataset:
     Unspecified entries are 0. Without a dimension hint the width is the
     largest index seen in the file.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
     parsed: list[tuple[int, list[tuple[int, float]]]] = []
     saw_negative = saw_zero = False
     max_index = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            value, negative = _parse_label(tokens[0], f"line {line_no}")
-            saw_negative |= negative
-            saw_zero |= value == 0 and not negative
-            entries: list[tuple[int, float]] = []
-            previous = 0
-            for token in tokens[1:]:
-                try:
-                    idx_text, val_text = token.split(":", 1)
-                    idx = int(idx_text)
-                    val = float(val_text)
-                except ValueError:
-                    raise DataError(f"malformed entry {token!r} at line {line_no}") from None
-                if idx < 1:
-                    raise DataError(f"index {idx} below 1 at line {line_no}")
-                if idx <= previous:
-                    raise DataError(f"non-ascending index {idx} at line {line_no}")
-                if dimension_hint is not None and idx > dimension_hint:
-                    raise DataError(
-                        f"index {idx} exceeds dimension hint {dimension_hint} at line {line_no}"
-                    )
-                previous = idx
-                entries.append((idx, val))
-            max_index = max(max_index, previous)
-            parsed.append((value, entries))
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        value, negative = _parse_label(tokens[0], f"line {line_no}")
+        saw_negative |= negative
+        saw_zero |= value == 0 and not negative
+        entries: list[tuple[int, float]] = []
+        previous = 0
+        for token in tokens[1:]:
+            try:
+                idx_text, val_text = token.split(":", 1)
+                idx = int(idx_text)
+                val = float(val_text)
+            except ValueError:
+                raise DataError(f"malformed entry {token!r} at line {line_no}") from None
+            if idx < 1:
+                raise DataError(f"index {idx} below 1 at line {line_no}")
+            if idx <= previous:
+                raise DataError(f"non-ascending index {idx} at line {line_no}")
+            if dimension_hint is not None and idx > dimension_hint:
+                raise DataError(
+                    f"index {idx} exceeds dimension hint {dimension_hint} at line {line_no}"
+                )
+            previous = idx
+            entries.append((idx, val))
+        max_index = max(max_index, previous)
+        parsed.append((value, entries))
     _check_label_convention(saw_negative, saw_zero)
     if not parsed:
         raise DataError(f"empty file: {path}")

@@ -19,6 +19,7 @@ time: the time to train that configuration from scratch on the fold, so
 mean train times stay comparable across m for the wall-time tie-break.
 """
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -70,9 +71,9 @@ class GridSpec:
     def __post_init__(self):
         if not self.c_values or not self.m_values:
             raise DataError("grid must contain at least one C and one m value")
-        if any(c <= 0 for c in self.c_values):
+        if not all(0 < c < math.inf for c in self.c_values):
             raise DataError("C values must be positive")
-        if any(d <= 0 for d in self.delta_values):
+        if not all(0 < d < math.inf for d in self.delta_values):
             raise DataError("delta values must be positive")
         if any(m < 1 for m in self.m_values):
             raise DataError("m values must be >= 1")

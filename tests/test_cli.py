@@ -97,6 +97,46 @@ class TestTrain:
         )
         assert result.returncode == 3
 
+    @pytest.mark.parametrize("fmt", ["csv", "sparse"])
+    @pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+    def test_unreadable_data_is_data_error(self, tmp_path, kind, fmt):
+        data = tmp_path / "data"
+        if kind == "directory":
+            data.mkdir()
+        else:
+            data.write_bytes(b"0.5,\xff\xfe,1\n" if fmt == "csv" else b"1 1:0.5 2:\xff\n")
+        result = run_cli(
+            "train", "--data", str(data), "--format", fmt,
+            "--model-out", str(tmp_path / "m.json"),
+        )
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("data error: "), result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--gamma", "nan"),
+            ("train", "--gamma", "inf"),
+            ("train", "--cost", "nan"),
+            ("train", "--cost", "inf"),
+            ("sizes", "--gamma", "-1"),
+            ("sizes", "--gamma", "nan"),
+        ],
+    )
+    def test_non_finite_or_negative_regularizer_is_usage_error(
+        self, tmp_path, train_csv, command, flag, value
+    ):
+        if command == "train":
+            args = ["train", "--data", str(train_csv), "--model-out", str(tmp_path / "m.json")]
+        else:
+            args = ["bench", "sizes", "--sizes", "200", "--features", "3", "--clusters", "4",
+                    "--out", str(tmp_path / "s.csv")]
+        result = run_cli(*args, f"{flag}={value}")
+        assert result.returncode == 2, result.stderr
+        assert f"{flag} must be positive" in result.stderr
+        assert not any(tmp_path.glob("[ms].*"))
+
     def test_cost_maps_to_inverse_gamma(self, tmp_path, train_csv):
         out_cost = tmp_path / "cost.json"
         out_gamma = tmp_path / "gamma.json"
@@ -313,3 +353,87 @@ class TestGranulate:
         run_cli("granulate", "--data", str(train_csv), *flags, "--out", str(out_a))
         run_cli("granulate", "--data", str(train_csv), *flags, "--out", str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestFlagsBeforeReads:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["cv", "--c-grid", "1,x", "--report-out", "{tmp}/r.json", "--csv-out", "{tmp}/r.csv"],
+             "--c-grid expects comma-separated numbers"),
+            (["bench", "clusters", "--m-list", "0", "--out", "{tmp}/c.csv"], "m must be >= 1"),
+        ],
+        ids=["cv_c_grid", "bench_clusters_m_list"],
+    )
+    def test_usage_error_comes_before_missing_data(self, tmp_path, args, message):
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        result = run_cli(*args, "--data", str(tmp_path / "absent.csv"))
+        assert result.returncode == 2, result.stderr
+        assert message in result.stderr
+
+    @pytest.mark.parametrize("where", ["directory", "under_a_file"])
+    @pytest.mark.parametrize("command", ["train", "granulate"])
+    def test_output_path_that_cannot_be_a_file_is_usage_error(
+        self, tmp_path, train_csv, command, where
+    ):
+        target = tmp_path / "target"
+        if where == "directory":
+            target.mkdir()
+        else:
+            target.write_text("", encoding="utf-8")
+            target = target / "out.csv"
+        flag = "--model-out" if command == "train" else "--out"
+        result = run_cli(
+            command, "--data", str(train_csv), "--clusters", "2", flag, str(target)
+        )
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+
+
+def test_csv_layouts(tmp_path, train_csv):
+    """First line, column line and trailer of every CSV the CLI writes."""
+    data = str(train_csv)
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--data", data, "--model-out", str(model), "--clusters", "2").returncode == 0
+    out = {name: tmp_path / f"{name}.csv" for name in ("predict", "cv", "sizes", "clusters", "gran", "granv")}
+    runs = [
+        ["predict", "--model", str(model), "--data", data, "--out", str(out["predict"])],
+        ["cv", "--data", data, "--c-grid", "1", "--m-grid", "2", "--folds", "3", "--timing", "zero",
+         "--report-out", str(tmp_path / "r.json"), "--csv-out", str(out["cv"])],
+        ["bench", "sizes", "--sizes", "200", "--features", "3", "--clusters", "4", "--seed", "1",
+         "--timing", "zero", "--out", str(out["sizes"])],
+        ["bench", "clusters", "--data", data, "--m-list", "1,2", "--cost", "4", "--folds", "3",
+         "--timing", "zero", "--out", str(out["clusters"])],
+        ["granulate", "--data", data, "--clusters", "2", "--out", str(out["gran"])],
+        ["granulate", "--data", data, "--clusters", "2", "--emit-v", "--out", str(out["granv"])],
+    ]
+    for args in runs:
+        result = run_cli(*args)
+        assert result.returncode == 0, result.stderr
+    expected = {
+        "predict": (f"# lugsi predict format_version=1 model={model} data={data}",
+                    "index,decision_value,label"),
+        "cv": (f"# lugsi cv format_version=1 data={data} kernel=linear folds=3 seed=0 timing=zero",
+               "c,delta,m,fold,acc,train_seconds"),
+        "sizes": ("# lugsi bench-sizes format_version=1 sizes=200 features=3 clusters=4 seed=1 "
+                  "timing=zero",
+                  "l,granulate_seconds,assembly_seconds,fit_seconds,v_matrix_seconds,accuracy"),
+        "clusters": (f"# lugsi bench-clusters format_version=1 data={data} kernel=linear gamma=0.25 "
+                     "folds=3 seed=0 timing=zero",
+                     "m,accuracy,train_seconds"),
+        "gran": (f"# lugsi granulate format_version=1 data={data} clusters=2 seed=0 emit_v=False",
+                 "sample_index,granule_index"),
+        "granv": (f"# lugsi granulate format_version=1 data={data} clusters=2 seed=0 emit_v=True",
+                  "sample_index,granule_index,v_value"),
+    }
+    for name, (first, columns) in expected.items():
+        lines = out[name].read_text(encoding="utf-8").split("\n")
+        assert lines[:2] == [first, columns], name
+        assert lines[-1] == "", name
+        trailer = [line for line in lines[2:] if line.startswith("#")]
+        if name.startswith("gran"):
+            assert trailer == [lines[-2]], name
+            assert lines[-2].startswith("# clustering_error="), name
+            assert float(lines[-2].removeprefix("# clustering_error=")) >= 0.0
+        else:
+            assert trailer == [], name

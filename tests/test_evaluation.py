@@ -264,6 +264,13 @@ class TestGridSearch:
             grid_search(data, grid, "linear", threads=threads)
         assert calls == []
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field, message", [("c_values", "C values"), ("delta_values", "delta")])
+    def test_non_finite_grid_value_is_rejected(self, field, message, value):
+        values = {"c_values": (1.0,), "delta_values": (1.0,), field: (1.0, value)}
+        with pytest.raises(DataError, match=message):
+            GridSpec(**values, m_values=(2,), folds=3, seed=0)
+
     def test_report_document_zero_timing(self, rng):
         data = random_binary_dataset(rng, 18, 2)
         grid = GridSpec(c_values=(1.0,), delta_values=(1.0,), m_values=(2,), folds=3, seed=0)
