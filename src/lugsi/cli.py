@@ -172,9 +172,11 @@ def _resolve_gamma(gamma: float | None, cost: float | None, parser) -> float:
     for flag, value in (("--cost", cost), ("--gamma", gamma)):
         if value is not None and not 0 < value < math.inf:
             parser.error(f"{flag} must be positive")
-    if cost is not None:
-        return 1.0 / cost
-    return 1.0 if gamma is None else gamma
+    if cost is None:
+        return 1.0 if gamma is None else gamma
+    if not 1.0 / cost < math.inf:
+        parser.error(f"--cost {cost!r} is too small: 1/cost is not a finite gamma")
+    return 1.0 / cost
 
 
 def _parse_list(text: str | None, kind: type, flag: str, parser, default=None) -> tuple:

@@ -24,6 +24,7 @@ RBF = "rbf"
 CRO = "cro"
 
 CRO_QUADRATURE_NODES = 64
+CRO_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -57,14 +58,21 @@ def _cro_from_cosine(u: np.ndarray, gamma: float, nodes: int) -> np.ndarray:
 
     u is clamped to [-1, 1] to guard against floating-point overshoot of
     the cosine; the signed integral is evaluated as written for u < 0.
+    The entries are taken in chunks of at most CRO_CHUNK_ENTRIES // nodes,
+    so the (entries, nodes) quadrature temporaries stay bounded; every
+    entry is computed alone, so the chunking does not change the values.
     """
     u = np.clip(u, -1.0, 1.0)
     xi, w = _leggauss(nodes)
-    half = np.arcsin(u)[..., None] / 2.0
-    t = half * (xi + 1.0)
-    values = np.exp(-gamma * gamma / (1.0 + np.sin(t))) / (2.0 * math.pi)
-    integral = (values * w).sum(axis=-1) * half[..., 0]
-    return _normal_cdf(gamma) ** 2 + integral
+    flat = u.reshape(-1)
+    integral = np.empty_like(flat)
+    step = max(1, CRO_CHUNK_ENTRIES // nodes)
+    for start in range(0, flat.size, step):
+        half = np.arcsin(flat[start:start + step])[:, None] / 2.0
+        t = half * (xi + 1.0)
+        values = np.exp(-gamma * gamma / (1.0 + np.sin(t))) / (2.0 * math.pi)
+        integral[start:start + step] = (values * w).sum(axis=-1) * half[:, 0]
+    return _normal_cdf(gamma) ** 2 + integral.reshape(u.shape)
 
 
 def _cosine_similarity(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -91,10 +99,14 @@ def kernel_eval(spec: KernelSpec, x, x2, nodes: int = CRO_QUADRATURE_NODES) -> f
 
 
 def squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """All pairwise squared Euclidean distances, rows x cols, clipped at 0."""
+    """All pairwise squared Euclidean distances, rows x cols, clipped at 0.
+
+    Built in place, so at most two rows x cols arrays are alive at once.
+    """
     r2 = np.einsum("ij,ij->i", rows, rows)[:, None]
     c2 = np.einsum("ij,ij->i", cols, cols)[None, :]
-    d2 = r2 + c2 - 2.0 * rows @ cols.T
+    d2 = r2 + c2
+    d2 -= (2.0 * rows) @ cols.T
     np.maximum(d2, 0.0, out=d2)
     return d2
 
@@ -117,7 +129,10 @@ def gram_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     if spec.kind == LINEAR:
         gram = rows @ cols.T
     elif spec.kind == RBF:
-        gram = np.exp(-squared_distances(rows, cols) / (2.0 * spec.delta * spec.delta))
+        # in place; bitwise equal to exp(-d2 / (2 delta^2))
+        gram = squared_distances(rows, cols)
+        np.divide(gram, -2.0 * spec.delta * spec.delta, out=gram)
+        np.exp(gram, out=gram)
     else:
         gram = _cro_from_cosine(
             _cosine_similarity(rows, cols), spec.cro_gamma, CRO_QUADRATURE_NODES

@@ -10,11 +10,19 @@ normal equations only need the compressed quantities
     u_k = X_k^T v_k   (linear)   or   q_k = K_k^T v_k   (kernel),
     s_k = v_k^T 1,    t_k = v_k^T Y_k.
 
+Stacking the u_k (or q_k) as the rows of P (m x d), the system matrix is
+P^T P + gamma*m*I. When P has fewer rows than columns the solve runs in
+the m x m system P P^T + gamma*m*I instead, through the push-through
+identity (P^T P + gI)^-1 P^T = P^T (P P^T + gI)^-1, so a kernel fit costs
+O(m*l) memory: its P is accumulated from Gram blocks of about
+`ROW_BLOCK` training rows, and kernel scoring is blocked the same way.
+
 The full V-matrix is never materialized here; `fit_vsvm` keeps the dense
 reference construction (W = V, m = 1) for cross-checks, and `fit_lssvm`
 is the identity-weighted degenerate mode (singleton granules, unit
-predicates, so its effective regularizer is gamma * l). All four modes
-share one closed-form solve, bias recovery and diagnostics.
+predicates, so its effective regularizer is gamma * l). Both build the
+whole design. All four modes share one closed-form bias recovery, model
+and diagnostics path.
 """
 
 import math
@@ -32,6 +40,7 @@ from .kernels import KernelSpec, gram_block
 from .serialize import dump_document, load_document
 
 KERNEL_SYSTEM_ROW_CAP = 15_000
+ROW_BLOCK = 1024
 VSVM_ROW_CAP = 10_000
 _PSD_CHECK_LIMIT = 1_500
 _B_DEGENERACY_TOL = 1e-12
@@ -43,7 +52,8 @@ class FitDiagnostics:
 
     `gradient_norm` is the exact norm of the objective's gradient in
     (params, bias) at the returned solution, evaluated from the normal
-    equations.
+    equations. `system_condition_hint` is the hint of the factored
+    system, of dimension min(m, d) for a rank-one fit with m x d P.
     """
 
     objective_value: float
@@ -152,38 +162,46 @@ def solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _factor_solve(M, rhs)[0]
 
 
+def _check_rows(data: Dataset, max_rows: int) -> None:
+    if data.l > max_rows:
+        raise DataError(
+            f"kernel fit has {data.l} training rows, above the cap {max_rows}; "
+            "raise max_system_rows explicitly if you really want this"
+        )
+
+
 def _design(data: Dataset, kernel: KernelSpec | None, max_rows: int) -> np.ndarray:
     """The feature matrix, or the l x l training Gram block under a row cap."""
     if kernel is None:
         return data.features
-    if data.l > max_rows:
-        raise DataError(
-            f"kernel system is {data.l}x{data.l}, above the cap {max_rows}; "
-            "raise max_system_rows explicitly if you really want this"
-        )
+    _check_rows(data, max_rows)
     return gram_block(kernel, data.features, data.features)
+
+
+def _shifted_solve(M: np.ndarray, shift: float, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """`_factor_solve` of M + shift*I; the shift is added to M in place."""
+    if not shift > 0.0:
+        raise DataError("gamma must be positive")
+    M[np.diag_indices(M.shape[0])] += shift
+    return _factor_solve(M, rhs)
 
 
 def _closed_form(
     data, kernel, gamma, m, seed, scaling,
-    DWD, DWy, DW1, oWy, oW1, oWD, residual_energy,
+    half, cond, system_product, DWy, DW1, oWy, oW1, oWD, residual_energy,
 ) -> tuple[LinearModel | KernelModel, FitDiagnostics]:
-    """The solve, model and diagnostics shared by every fit mode.
+    """The bias, model and diagnostics shared by every fit mode.
 
-    Minimizes r^T W r + gamma*m*||p||^2 with r = D p + bias - y, given the
-    weighted normal-equation quantities D^T W D (consumed in place),
-    D^T W y, D^T W 1, 1^T W y, 1^T W 1 and 1^T W D. The two half-solutions
-    solve (D^T W D + gamma*m*I) [p_b, p_c] = [D^T W y, D^T W 1]; the bias
+    Minimizes r^T W r + gamma*m*||p||^2 with r = D p + bias - y. `half`
+    holds the two half-solutions [p_b, p_c] of M [p_b, p_c] = [D^T W y,
+    D^T W 1] with M = D^T W D + gamma*m*I, `cond` the condition hint of the
+    factored system and `system_product(p)` the product M p. The other
+    inputs are D^T W y, D^T W 1, 1^T W y, 1^T W 1 and 1^T W D. The bias
     comes from its stationarity equation, and a near-zero bias denominator
     falls back to b = 0 with the diagnostics flag set. Then p = p_b - b*p_c.
     `residual_energy(p, b)` returns r^T W r for the objective.
     """
-    if not gamma > 0.0:
-        raise DataError("gamma must be positive")
     gamma_eff = gamma * m
-    M = DWD
-    M[np.diag_indices(M.shape[0])] += gamma_eff
-    half, cond = _factor_solve(M, np.column_stack([DWy, DW1]))
     p_b, p_c = half[:, 0], half[:, 1]
     numerator = float(oWy - oWD @ p_b)
     denominator = float(oW1 - oWD @ p_c)
@@ -191,7 +209,9 @@ def _closed_form(
     bias = 0.0 if fallback else numerator / denominator
     params = p_b - bias * p_c
     # half the gradient of the objective in (p, b), from the normal equations
-    grad = np.append(M @ params + bias * DW1 - DWy, oWD @ params + bias * oW1 - oWy)
+    grad = np.append(
+        system_product(params) + bias * DW1 - DWy, oWD @ params + bias * oW1 - oWy
+    )
     if scaling is None:
         scaling = ScalingParams(np.zeros(data.n), np.ones(data.n))
     cls, fields = _KINDS["linear" if kernel is None else "kernel"]
@@ -208,7 +228,23 @@ def _closed_form(
 
 
 def _rank_one_fit(data, kernel, P, s, t, gamma, m, seed, scaling):
-    """`_closed_form` for W = sum_k v_k v_k^T, from the accumulations (P, s, t)."""
+    """`_closed_form` for W = sum_k v_k v_k^T, from the accumulations (P, s, t).
+
+    Factors the smaller of P P^T + gamma*m*I (m x m, when P has fewer rows
+    than columns; then [p_b, p_c] = P^T z) and P^T P + gamma*m*I.
+    """
+    gamma_eff = gamma * m
+    DWy, DW1 = P.T @ t, P.T @ s
+    if P.shape[0] < P.shape[1]:
+        z, cond = _shifted_solve(P @ P.T, gamma_eff, np.column_stack([t, s]))
+        half = P.T @ z
+
+        def system_product(p):
+            return P.T @ (P @ p) + gamma_eff * p
+    else:
+        M = P.T @ P
+        half, cond = _shifted_solve(M, gamma_eff, np.column_stack([DWy, DW1]))
+        system_product = M.__matmul__
 
     def residual_energy(p, bias):
         resid = P @ p + bias * s - t
@@ -216,8 +252,46 @@ def _rank_one_fit(data, kernel, P, s, t, gamma, m, seed, scaling):
 
     return _closed_form(
         data, kernel, gamma, m, seed, scaling,
-        P.T @ P, P.T @ t, P.T @ s, s @ t, s @ s, s @ P, residual_energy,
+        half, cond, system_product, DWy, DW1, s @ t, s @ s, s @ P, residual_energy,
     )
+
+
+def _row_blocks(rows: int) -> list[slice]:
+    """Slices of ROW_BLOCK rows covering range(rows); a remainder shorter
+    than ROW_BLOCK // 2 joins the block before it.
+
+    BLAS takes a short product through other kernels (a dot for one row, a
+    small-matrix gemm) whose last bits differ, so a one-row tail would not
+    score like the same row in a one-piece product.
+    """
+    bounds = list(range(0, rows, ROW_BLOCK))
+    if len(bounds) > 1 and rows - bounds[-1] < ROW_BLOCK // 2:
+        bounds.pop()
+    bounds.append(rows)
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _kernel_rows(data, granulation, invariants, kernel) -> np.ndarray:
+    """P with rows q_k = K_k^T v_k, from Gram blocks of `_row_blocks` rows.
+
+    Walks the training rows in granule order, so each block adds the
+    segments of the granules it covers and no l x l Gram is built.
+    """
+    order = np.concatenate(granulation.granule_members)
+    weights = np.concatenate([inv.v for inv in invariants])
+    ends = np.cumsum([members.size for members in granulation.granule_members])
+    X = data.features
+    P = np.zeros((granulation.m, data.l), dtype=np.float64)
+    for rows in _row_blocks(order.size):
+        block = gram_block(kernel, X[order[rows]], X)
+        lo = rows.start
+        while lo < rows.stop:
+            k = int(np.searchsorted(ends, lo, side="right"))
+            hi = min(int(ends[k]), rows.stop)
+            P[k] += weights[lo:hi] @ block[lo - rows.start:hi - rows.start]
+            lo = hi
+        del block  # free it before the next block is built
+    return P
 
 
 def _granulated_fit(
@@ -243,16 +317,16 @@ def _granulated_fit(
             raise DataError(f"invariant {k} carries granule_index {inv.granule_index}")
         if inv.v.shape[0] != granulation.granule_members[k].size:
             raise DataError(f"invariant {k} length does not match its granule")
-    design = _design(data, kernel, max_rows)
     m = granulation.m
-    P = np.empty((m, design.shape[1]), dtype=np.float64)
-    s = np.empty(m, dtype=np.float64)
-    t = np.empty(m, dtype=np.float64)
-    for k, members in enumerate(granulation.granule_members):
-        v = invariants[k].v
-        P[k] = v @ design[members]
-        s[k] = v.sum()
-        t[k] = invariants[k].target
+    s = np.array([inv.v.sum() for inv in invariants], dtype=np.float64)
+    t = np.array([inv.target for inv in invariants], dtype=np.float64)
+    if kernel is None:
+        P = np.empty((m, data.n), dtype=np.float64)
+        for k, members in enumerate(granulation.granule_members):
+            P[k] = invariants[k].v @ data.features[members]
+    else:
+        _check_rows(data, max_rows)
+        P = _kernel_rows(data, granulation, invariants, kernel)
     return _rank_one_fit(data, kernel, P, s, t, gamma, m, granulation.seed, scaling)
 
 
@@ -286,9 +360,11 @@ def fit_kernel_lugsi(
 ) -> tuple[KernelModel, FitDiagnostics]:
     """Kernel-space analogue of the linear fit.
 
-    The compressed vectors are q_k = K_k^T v_k against the full training
-    set, so the system is l x l regardless of the granule count; the row
-    cap guards the quadratic memory.
+    The compressed vectors q_k = K_k^T v_k against the full training set
+    are accumulated from Gram blocks of about `ROW_BLOCK` rows, and with
+    m < l the solve is m x m, so the fit takes O(m * l) memory and never
+    builds the l x l Gram. With m >= l the system is l x l. The cap
+    `max_system_rows` is on the number of training rows l.
     """
     return _granulated_fit(
         data, granulation, invariants, kernel, gamma, scaling, max_system_rows
@@ -349,15 +425,17 @@ def fit_vsvm(
     labels = data.labels.astype(np.float64)
     ones = np.ones(data.l)
     oV = ones @ V
+    M = design.T @ (V @ design)
+    DWy, DW1 = design.T @ (V @ labels), design.T @ (V @ ones)
+    half, cond = _shifted_solve(M, gamma, np.column_stack([DWy, DW1]))
 
     def residual_energy(p, bias):
         resid = design @ p + bias - labels
         return resid @ (V @ resid)
 
     return _closed_form(
-        data, kernel, gamma, 1, seed, scaling,
-        design.T @ (V @ design), design.T @ (V @ labels), design.T @ (V @ ones),
-        oV @ labels, oV @ ones, oV @ design, residual_energy,
+        data, kernel, gamma, 1, seed, scaling, half, cond, M.__matmul__,
+        DWy, DW1, oV @ labels, oV @ ones, oV @ design, residual_energy,
     )
 
 
@@ -375,7 +453,13 @@ def decision_values(model: LinearModel | KernelModel, points: np.ndarray) -> np.
         )
     if linear:
         return points @ model.w + model.b
-    return gram_block(model.kernel, points, model.training_points) @ model.A + model.c
+    values = np.empty(points.shape[0], dtype=np.float64)
+    for rows in _row_blocks(points.shape[0]):
+        # one expression, so no block outlives its row slice
+        values[rows] = (
+            gram_block(model.kernel, points[rows], model.training_points) @ model.A + model.c
+        )
+    return values
 
 
 def decision_value(model: LinearModel | KernelModel, point) -> float:

@@ -1,5 +1,7 @@
 """Shared fixtures and dataset helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,13 @@ def singleton_granulation(data, seed=0):
         iterations_run=1,
         seed=seed,
     )
+
+
+def traced_peak(build, *args):
+    """Call build(*args) under tracemalloc; return the peak traced bytes."""
+    tracemalloc.start()
+    try:
+        build(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -371,6 +371,19 @@ class TestFlagsBeforeReads:
         assert result.returncode == 2, result.stderr
         assert message in result.stderr
 
+    @pytest.mark.parametrize("command", ["train", "bench_clusters"])
+    def test_cost_with_infinite_inverse_is_usage_error(self, tmp_path, train_csv, command):
+        # 1/cost overflows to inf for a subnormal cost
+        if command == "train":
+            args = ["train", "--model-out", str(tmp_path / "m.json")]
+        else:
+            args = ["bench", "clusters", "--m-list", "1,2", "--out", str(tmp_path / "c.csv")]
+        for data in (train_csv, tmp_path / "absent.csv"):
+            result = run_cli(*args, "--data", str(data), "--cost", "1e-310")
+            assert result.returncode == 2, result.stderr
+            assert "--cost" in result.stderr
+        assert not any(tmp_path.glob("[mc].*"))
+
     @pytest.mark.parametrize("where", ["directory", "under_a_file"])
     @pytest.mark.parametrize("command", ["train", "granulate"])
     def test_output_path_that_cannot_be_a_file_is_usage_error(

@@ -1,13 +1,11 @@
 """v-values, granule invariants, and the full pairwise matrix."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_binary_dataset, singleton_granulation
+from conftest import random_binary_dataset, singleton_granulation, traced_peak
 from oracles import domination_fraction, mc_pair_integral
 
 from lugsi import (
@@ -231,12 +229,7 @@ class TestEmpiricalMeasureBlocks:
         # an (r, l, n) boolean takes l * l * n bytes here: 36 MB and 48 MB
         data = random_binary_dataset(rng, l, n)
         measure = MeasureSpec.empirical(data.features)
-        tracemalloc.start()
-        try:
-            build(data, measure)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(build, data, measure)
         assert peak < bound_mb * 1e6
 
 

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+
 from lugsi import DataError, KernelSpec, gram_block, kernel_eval
+from lugsi.kernels import CRO_CHUNK_ENTRIES, CRO_QUADRATURE_NODES, _cosine_similarity
 
 
 class TestKernelEval:
@@ -124,3 +127,34 @@ class TestGramBlock:
     def test_dimension_mismatch(self):
         with pytest.raises(DataError, match="dimension mismatch"):
             gram_block(KernelSpec("linear"), np.ones((2, 3)), np.ones((2, 4)))
+
+
+class TestCroChunks:
+    """The CRO quadrature runs over chunks of entries."""
+
+    @staticmethod
+    def whole_matrix_cro(u, gamma):
+        # the unchunked expression: one (rows, cols, nodes) temporary
+        u = np.clip(u, -1.0, 1.0)
+        xi, w = np.polynomial.legendre.leggauss(CRO_QUADRATURE_NODES)
+        half = np.arcsin(u)[..., None] / 2.0
+        t = half * (xi + 1.0)
+        values = np.exp(-gamma * gamma / (1.0 + np.sin(t))) / (2.0 * math.pi)
+        integral = (values * w).sum(axis=-1) * half[..., 0]
+        return (0.5 * (1.0 + math.erf(gamma / math.sqrt(2.0)))) ** 2 + integral
+
+    @pytest.mark.parametrize("cro_gamma", [0.0, 0.3, -0.7])
+    def test_chunked_equals_whole_matrix_bitwise(self, rng, cro_gamma):
+        rows, cols = rng.standard_normal((150, 4)), rng.standard_normal((50, 4))
+        assert rows.shape[0] * cols.shape[0] > CRO_CHUNK_ENTRIES // CRO_QUADRATURE_NODES
+        spec = KernelSpec("cro", cro_gamma=cro_gamma)
+        expected = self.whole_matrix_cro(_cosine_similarity(rows, cols), cro_gamma)
+        assert gram_block(spec, rows, cols).tobytes() == expected.tobytes()
+        same = self.whole_matrix_cro(_cosine_similarity(rows, rows), cro_gamma)
+        assert gram_block(spec, rows, rows).tobytes() == ((same + same.T) / 2.0).tobytes()
+
+    def test_no_entry_by_node_temporary(self, rng):
+        # a (300, 300, 64) float temporary alone takes 46 MB
+        points = rng.random((300, 5))
+        peak = traced_peak(gram_block, KernelSpec("cro", cro_gamma=0.3), points, points)
+        assert peak < 16e6

@@ -1,9 +1,15 @@
 """Closed-form solver contracts, degenerate modes, and oracle cross-checks."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import random_binary_dataset, singleton_granulation
+from conftest import random_binary_dataset, singleton_granulation, traced_peak
 from oracles import (
     dense_kernel_fit,
     dense_linear_fit,
@@ -35,7 +41,8 @@ from lugsi import (
     unit_granule_invariants,
     v_value,
 )
-from lugsi.solver import model_document
+from lugsi import solver
+from lugsi.solver import ROW_BLOCK, model_document
 from lugsi.serialize import dump_document
 
 
@@ -356,7 +363,10 @@ class TestVsvm:
 class TestDiagnostics:
     def test_objective_and_exact_gradient_in_every_mode(self):
         # LSSVM is the oracle objective with singleton granules and unit v,
-        # VSVM with V = v v^T is the one-granule (m = 1) objective
+        # VSVM with V = v v^T is the one-granule (m = 1) objective; the
+        # granulated kernel fits (m < l) and the linear fits with m < n
+        # take the dual (m x m) solve
+        linear_dual = 0
         for seed in range(40):
             gen = np.random.default_rng(5000 + seed)
             data = random_binary_dataset(gen, int(gen.integers(6, 20)), int(gen.integers(1, 5)))
@@ -365,6 +375,7 @@ class TestDiagnostics:
             spec = KernelSpec("rbf", delta=float(gen.uniform(0.3, 2.0)))
             K = gram_block(spec, X, X)
             g = kmeans_granulate(data, int(gen.integers(1, 5)), seed=seed)
+            linear_dual += g.m < data.n
             invs = granule_v_vectors(data, g, MeasureSpec.uniform())
             vs = [inv.v for inv in invs]
             singletons = singleton_granulation(data).granule_members
@@ -386,6 +397,123 @@ class TestDiagnostics:
                 explicit = objective(design, y, members, v_vectors, gamma, params, bias)
                 assert diag.objective_value == pytest.approx(explicit, rel=1e-12)
                 assert diag.gradient_norm <= 1e-10 * (1.0 + diag.objective_value)
+        assert 0 < linear_dual < 40
+
+
+class TestSolveSides:
+    """m < d factors the m x m system P P^T + gamma*m*I, else the d x d P^T P + gamma*m*I."""
+
+    @pytest.fixture
+    def factored_dims(self, monkeypatch):
+        dims = []
+        factor_solve = solver._factor_solve
+
+        def recording(M, rhs):
+            dims.append(M.shape[0])
+            return factor_solve(M, rhs)
+
+        monkeypatch.setattr(solver, "_factor_solve", recording)
+        return dims
+
+    @pytest.mark.parametrize("l, n, m", [(20, 6, 3), (30, 2, 6)], ids=["dual", "primal"])
+    def test_linear_matches_dense_oracle(self, factored_dims, l, n, m):
+        gen = np.random.default_rng(600 + m)
+        data = random_binary_dataset(gen, l, n)
+        g = kmeans_granulate(data, m, seed=0)
+        invs = granule_v_vectors(data, g, MeasureSpec.uniform())
+        model, _ = fit_linear_lugsi(data, g, invs, gamma=0.2)
+        w, b = dense_linear_fit(
+            data.features, data.labels, g.granule_members, [inv.v for inv in invs], 0.2
+        )
+        assert factored_dims == [min(g.m, n)]
+        np.testing.assert_allclose(model.w, w, rtol=1e-10, atol=1e-12)
+        assert model.b == pytest.approx(b, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("row_block", [5, ROW_BLOCK])
+    @pytest.mark.parametrize("l, m", [(24, 4), (16, 16)], ids=["dual", "primal"])
+    def test_kernel_matches_dense_oracle(self, factored_dims, monkeypatch, l, m, row_block):
+        # a block of 5 rows splits granules across Gram blocks
+        monkeypatch.setattr(solver, "ROW_BLOCK", row_block)
+        gen = np.random.default_rng(700 + m)
+        data = random_binary_dataset(gen, l, 3)
+        g = kmeans_granulate(data, m, seed=0)
+        invs = granule_v_vectors(data, g, MeasureSpec.uniform())
+        spec = KernelSpec("rbf", delta=0.6)
+        model, _ = fit_kernel_lugsi(data, g, invs, spec, gamma=0.3)
+        K = gram_block(spec, data.features, data.features)
+        A, c = dense_kernel_fit(
+            K, data.labels, g.granule_members, [inv.v for inv in invs], 0.3
+        )
+        assert factored_dims == [min(g.m, l)]
+        np.testing.assert_allclose(model.A, A, rtol=1e-10, atol=1e-12)
+        assert model.c == pytest.approx(c, rel=1e-10, abs=1e-12)
+
+
+class TestKernelBlocks:
+    """Kernel fits and scoring build Gram blocks of at most ROW_BLOCK rows."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec("rbf", delta=0.5), KernelSpec("cro", cro_gamma=0.3), KernelSpec("linear")],
+        ids=["rbf", "cro", "linear"],
+    )
+    def test_blocked_scoring_equals_unblocked_bitwise(self, spec):
+        gen = np.random.default_rng(81)
+        data = random_binary_dataset(gen, 40, 3)
+        g = kmeans_granulate(data, 4, seed=0)
+        invs = granule_v_vectors(data, g, MeasureSpec.uniform())
+        model, _ = fit_kernel_lugsi(data, g, invs, spec, 0.2)
+        points = gen.random((2 * ROW_BLOCK + 1, 3))
+        expected = gram_block(spec, points, model.training_points) @ model.A + model.c
+        assert decision_values(model, points).tobytes() == expected.tobytes()
+
+    def test_blocked_scoring_is_the_one_piece_product_under_one_blas_thread(self):
+        # with several BLAS threads the one-piece product splits its rows
+        # between threads, and a row that lands in a thread's unrolled
+        # tail may move in the last bits; with one thread no row does
+        script = textwrap.dedent("""
+            import numpy as np
+            from lugsi import *
+            gen = np.random.default_rng(84)
+            for l, kinds in ((40, ("rbf", "cro", "linear")), (1000, ("rbf", "linear"))):
+                data = Dataset(gen.random((l, 3)), np.arange(l) % 2)
+                g = kmeans_granulate(data, 4, seed=0, restarts=1)
+                invs = granule_v_vectors(data, g, MeasureSpec.uniform())
+                for kind in kinds:
+                    spec = KernelSpec(kind, delta=0.5, cro_gamma=0.3)
+                    model, _ = fit_kernel_lugsi(data, g, invs, spec, 0.2)
+                    for rows in (1025, 1100, 2049, 3079):
+                        points = gen.random((rows, 3))
+                        one_piece = gram_block(spec, points, model.training_points) @ model.A
+                        expected = one_piece + model.c
+                        got = decision_values(model, points)
+                        assert got.tobytes() == expected.tobytes(), (l, kind, rows)
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_fit_builds_no_training_gram(self):
+        # one 3000 x 3000 float array alone takes 72 MB
+        data = random_binary_dataset(np.random.default_rng(82), 3000, 4)
+        g = kmeans_granulate(data, 20, seed=0, restarts=1)
+        invs = granule_v_vectors(data, g, MeasureSpec.uniform())
+        peak = traced_peak(fit_kernel_lugsi, data, g, invs, KernelSpec("rbf", delta=0.5), 0.5)
+        assert peak < 60e6
+
+    def test_scoring_builds_no_batch_gram(self):
+        # one 5000 x 2000 float array alone takes 80 MB
+        gen = np.random.default_rng(83)
+        data = random_binary_dataset(gen, 2000, 4)
+        g = kmeans_granulate(data, 20, seed=0, restarts=1)
+        invs = granule_v_vectors(data, g, MeasureSpec.uniform())
+        model, _ = fit_kernel_lugsi(data, g, invs, KernelSpec("rbf", delta=0.5), 0.5)
+        peak = traced_peak(decision_values, model, gen.random((5000, 4)))
+        assert peak < 48e6
 
 
 class TestPrediction:
