@@ -166,17 +166,23 @@ def _load_data(args) -> Dataset:
     return load_sparse(args.data, dimension_hint=args.dimension_hint)
 
 
-def _resolve_gamma(gamma: float | None, cost: float | None, parser) -> float:
+def _resolve_gamma(gamma: float | None, cost: float | None, parser, m: int) -> float:
+    """The regularization weight from --gamma or --cost; m is the largest
+    granule count it is used with, since the solve shifts by gamma*m."""
     if gamma is not None and cost is not None:
         parser.error("--gamma and --cost are mutually exclusive")
     for flag, value in (("--cost", cost), ("--gamma", gamma)):
         if value is not None and not 0 < value < math.inf:
             parser.error(f"{flag} must be positive")
     if cost is None:
-        return 1.0 if gamma is None else gamma
-    if not 1.0 / cost < math.inf:
+        gamma = 1.0 if gamma is None else gamma
+    elif not 1.0 / cost < math.inf:
         parser.error(f"--cost {cost!r} is too small: 1/cost is not a finite gamma")
-    return 1.0 / cost
+    else:
+        gamma = 1.0 / cost
+    if not gamma * m < math.inf:
+        parser.error(f"gamma*m overflows for gamma={gamma!r} and m={m}")
+    return gamma
 
 
 def _parse_list(text: str | None, kind: type, flag: str, parser, default=None) -> tuple:
@@ -216,7 +222,7 @@ def _write_table(path: str, command: str, pairs, columns: str, rows, trailer=())
 
 
 def cmd_train(args, parser) -> int:
-    gamma = _resolve_gamma(args.gamma, args.cost, parser)
+    gamma = _resolve_gamma(args.gamma, args.cost, parser, args.clusters)
     if args.clusters < 1:
         parser.error("m must be >= 1")
     data = _load_data(args)
@@ -306,7 +312,7 @@ def cmd_cv(args, parser) -> int:
 
 def cmd_bench_sizes(args, parser) -> int:
     sizes = _parse_list(args.sizes, int, "--sizes", parser)
-    gamma = _resolve_gamma(args.gamma, None, parser)
+    gamma = _resolve_gamma(args.gamma, None, parser, args.clusters)
     rows = benchmark_scaling(
         sizes,
         features=args.features,
@@ -344,8 +350,8 @@ def cmd_bench_sizes(args, parser) -> int:
 
 
 def cmd_bench_clusters(args, parser) -> int:
-    gamma = _resolve_gamma(args.gamma, args.cost, parser)
     m_values = _parse_list(args.m_list, int, "--m-list", parser)
+    gamma = _resolve_gamma(args.gamma, args.cost, parser, max(m_values))
     if any(m < 1 for m in m_values):
         parser.error("m must be >= 1")
     data = _load_data(args)

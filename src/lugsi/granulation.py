@@ -1,7 +1,11 @@
 """Partition a training set into granules with K-means.
 
 Lloyd iterations from k-means++ seeding, restarted a configurable number
-of times with the lowest-error run kept. Everything is deterministic
+of times with the lowest-error run kept. The restarts stop at a run with
+zero clustering error, since no later run can beat it. The seeding skips
+the rows that a new centre provably cannot move (triangle inequality),
+yet picks exactly the centres of a full update. Every assignment pass
+reuses one pair of l x m distance buffers. Everything is deterministic
 under the seed: assignment ties go to the lowest centroid index, granule
 contributions are ordered by index, and clusters that empty during an
 update are repaired by stealing the point farthest from the empty
@@ -19,6 +23,9 @@ from .rng import make_rng
 
 MAX_ITERS = 100
 TOL = 1e-6  # on the maximum centroid displacement between iterations
+# seeding skips a row when ||c - c_j||^2 >= PRUNE_FACTOR * d2 + PRUNE_FLOOR
+PRUNE_FACTOR = 4.0 * (1.0 + 1e-9)
+PRUNE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -73,30 +80,58 @@ class Granulation:
 
 
 def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids by squared distance."""
+    """k-means++ seeding: spread initial centroids by squared distance.
+
+    Exact triangle pruning (Elkan, ICML 2003; Raff, IJCAI 2021). d2[i] is
+    the computed squared distance from row i to its chosen centre
+    c_j, j = nearest[i]. A new centre c recomputes only the rows with
+    ||c - c_j||^2 < PRUNE_FACTOR * d2 + PRUNE_FLOOR. For any other row,
+    ||c - c_j|| >= 2 ||x - c_j|| gives ||x - c|| >= ||x - c_j||. The
+    relative slack covers the rounding of the three computed distances,
+    and PRUNE_FLOOR the absolute rounding of subnormal ones. So the row's
+    computed distance to c is never below d2, and a full update's
+    np.minimum would have kept d2's bits. An overflowed centre distance
+    bounds nothing, so it prunes no row.
+    """
     l = X.shape[0]
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = rng.integers(l)
     d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
+    nearest = np.zeros(l, dtype=np.int64)
     for k in range(1, m):
         total = d2.sum()
+        if not np.isfinite(total):
+            raise DataError(
+                "squared distances overflow during k-means++ seeding; scale the features"
+            )
         if total > 0.0:
-            chosen[k] = rng.choice(l, p=d2 / total)
+            # the body of rng.choice(l, p=d2 / total), without its validation
+            cdf = np.cumsum(d2 / total)
+            cdf /= cdf[-1]
+            chosen[k] = cdf.searchsorted(rng.random(), side="right")
         else:
             # all remaining mass sits on already-chosen points (duplicates)
             chosen[k] = rng.integers(l)
-        d2 = np.minimum(d2, np.sum((X - X[chosen[k]]) ** 2, axis=1))
+        centre = X[chosen[k]]
+        cc2 = np.sum((X[chosen[:k]] - centre) ** 2, axis=1)
+        cc2[cc2 == np.inf] = 0.0
+        rows = np.flatnonzero(cc2[nearest] < PRUNE_FACTOR * d2 + PRUNE_FLOOR)
+        fresh = np.sum((X[rows] - centre) ** 2, axis=1)
+        closer = fresh < d2[rows]
+        d2[rows[closer]] = fresh[closer]
+        nearest[rows[closer]] = k
     return X[chosen].copy()
 
 
-def _assign(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _assign(X: np.ndarray, centroids: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Nearest centroid per row, then give every empty cluster one point.
 
-    The point farthest from the empty cluster's current centroid is moved
-    there, skipping points that are the sole member of their own cluster.
+    `work` is the (2, l, m) buffer `squared_distances` fills. The point
+    farthest from the empty cluster's current centroid is moved there,
+    skipping points that are the sole member of their own cluster.
     """
     m = centroids.shape[0]
-    assignments = np.argmin(squared_distances(X, centroids), axis=1)
+    assignments = np.argmin(squared_distances(X, centroids, work), axis=1)
     counts = np.bincount(assignments, minlength=m)
     for k in np.flatnonzero(counts == 0):
         dist = np.sum((X - centroids[k]) ** 2, axis=1)
@@ -117,20 +152,21 @@ def _error(X: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> flo
 
 
 def _lloyd(
-    X: np.ndarray, centroids: np.ndarray, error_trace: list | None
+    X: np.ndarray, centroids: np.ndarray, work: np.ndarray, error_trace: list | None
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     m = centroids.shape[0]
     assignments = None
     for iterations in range(1, MAX_ITERS + 1):
-        fresh = _assign(X, centroids)
+        fresh = _assign(X, centroids, work)
         if error_trace is not None:
             error_trace.append(_error(X, centroids, fresh))
         if assignments is not None and np.array_equal(fresh, assignments):
             break
         assignments = fresh
-        # each centroid is the mean of its cluster; add.at sums rows in index order
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assignments, X)
+        # each centroid is the mean of its cluster; bincount sums rows in index order
+        sums = np.column_stack(
+            [np.bincount(assignments, weights=col, minlength=m) for col in X.T]
+        )
         updated = sums / np.bincount(assignments, minlength=m)[:, None]
         shift = np.max(np.linalg.norm(updated - centroids, axis=1))
         centroids = updated
@@ -138,10 +174,10 @@ def _lloyd(
             error_trace.append(_error(X, centroids, assignments))
         if shift < TOL:
             # final consistency pass so assignments match the stored centroids
-            assignments = _assign(X, centroids)
+            assignments = _assign(X, centroids, work)
             break
     else:
-        assignments = _assign(X, centroids)
+        assignments = _assign(X, centroids, work)
     return assignments, centroids, _error(X, centroids, assignments), iterations
 
 
@@ -154,12 +190,16 @@ def kmeans_granulate(
 ) -> Granulation:
     """Cluster the dataset into m granules.
 
-    Runs `restarts` independently seeded Lloyd passes and keeps the one
-    with the lowest clustering error (ties to the earliest run). Each pass
-    stops when the assignments repeat, when no centroid moves by TOL or
-    more, or after MAX_ITERS iterations. When an `error_trace` list is
-    supplied (debug aid, meaningful with restarts=1) the per-step
-    clustering errors are appended to it.
+    Runs up to `restarts` independently seeded Lloyd passes and keeps the
+    one with the lowest clustering error (ties to the earliest run). A run
+    with zero error cannot be beaten, so the restarts stop there; with
+    distinct rows and m = l that is normally the first run. The k-means++
+    seeding prunes rows by the triangle inequality but picks exactly the
+    centres a full update would. Each pass stops when the assignments
+    repeat, when no centroid moves by TOL or more, or after MAX_ITERS
+    iterations. When an `error_trace` list is supplied (debug aid,
+    meaningful with restarts=1) the per-step clustering errors are
+    appended to it; with restarts > 1 it holds only the runs made.
     """
     if m < 1:
         raise DataError("m must be >= 1")
@@ -170,11 +210,15 @@ def kmeans_granulate(
 
     X = data.features
     rng = make_rng(seed)
+    # the two l x m distance arrays every assignment pass fills, allocated once
+    work = np.empty((2, data.l, m))
     best = None
     for _ in range(restarts):
-        run = _lloyd(X, _seed_centroids(X, m, rng), error_trace)
+        run = _lloyd(X, _seed_centroids(X, m, rng), work, error_trace)
         if best is None or run[2] < best[2]:
             best = run
+        if best[2] == 0.0:
+            break
     assignments, centroids, error, iterations = best
     order = np.argsort(assignments, kind="stable")
     bounds = np.cumsum(np.bincount(assignments, minlength=m))[:-1]

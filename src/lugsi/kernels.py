@@ -98,15 +98,24 @@ def kernel_eval(spec: KernelSpec, x, x2, nodes: int = CRO_QUADRATURE_NODES) -> f
     return float(_cro_from_cosine(np.asarray(u), spec.cro_gamma, nodes))
 
 
-def squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def squared_distances(
+    rows: np.ndarray, cols: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
     """All pairwise squared Euclidean distances, rows x cols, clipped at 0.
 
     Built in place, so at most two rows x cols arrays are alive at once.
+    `work`, a C-contiguous float64 array of shape (2, rows, cols), supplies
+    those two arrays, and the result is then its first slice; the same
+    operations run in the same order, so the values are bitwise the same.
     """
     r2 = np.einsum("ij,ij->i", rows, rows)[:, None]
     c2 = np.einsum("ij,ij->i", cols, cols)[None, :]
-    d2 = r2 + c2
-    d2 -= (2.0 * rows) @ cols.T
+    if work is None:
+        d2 = r2 + c2
+        d2 -= (2.0 * rows) @ cols.T
+    else:
+        d2 = np.add(r2, c2, out=work[0])
+        d2 -= np.matmul(2.0 * rows, cols.T, out=work[1])
     np.maximum(d2, 0.0, out=d2)
     return d2
 

@@ -182,6 +182,8 @@ def _shifted_solve(M: np.ndarray, shift: float, rhs: np.ndarray) -> tuple[np.nda
     """`_factor_solve` of M + shift*I; the shift is added to M in place."""
     if not shift > 0.0:
         raise DataError("gamma must be positive")
+    if not shift < math.inf:
+        raise DataError(f"gamma*m overflows: the regularization shift {shift!r} is not finite")
     M[np.diag_indices(M.shape[0])] += shift
     return _factor_solve(M, rhs)
 

@@ -120,3 +120,79 @@ def best_two_partition_error(points):
             err += float(np.sum((group - group.mean(axis=0)) ** 2))
         best = min(best, err)
     return best
+
+
+def reference_kmeans(X, m, seed, restarts):
+    """k-means++ seeding and Lloyd iterations as first written: every pick
+    updates every row and draws with rng.choice, centroid sums use
+    np.add.at, and every restart runs. Returns (assignments, centroids,
+    granule_members, clustering_error, iterations_run)."""
+    max_iters, tol = 100, 1e-6
+    l = X.shape[0]
+
+    def squared_distances(rows, cols):
+        d2 = np.einsum("ij,ij->i", rows, rows)[:, None] + np.einsum("ij,ij->i", cols, cols)[None, :]
+        d2 -= (2.0 * rows) @ cols.T
+        np.maximum(d2, 0.0, out=d2)
+        return d2
+
+    def seed_centroids(rng):
+        chosen = np.empty(m, dtype=np.int64)
+        chosen[0] = rng.integers(l)
+        d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
+        for k in range(1, m):
+            total = d2.sum()
+            if total > 0.0:
+                chosen[k] = rng.choice(l, p=d2 / total)
+            else:
+                chosen[k] = rng.integers(l)
+            d2 = np.minimum(d2, np.sum((X - X[chosen[k]]) ** 2, axis=1))
+        return X[chosen].copy()
+
+    def assign(centroids):
+        assignments = np.argmin(squared_distances(X, centroids), axis=1)
+        counts = np.bincount(assignments, minlength=m)
+        for k in np.flatnonzero(counts == 0):
+            dist = np.sum((X - centroids[k]) ** 2, axis=1)
+            for idx in np.argsort(-dist, kind="stable"):
+                if counts[assignments[idx]] > 1:
+                    counts[assignments[idx]] -= 1
+                    assignments[idx] = k
+                    counts[k] = 1
+                    break
+            else:
+                raise ValueError("cannot repair empty cluster")
+        return assignments
+
+    def error(centroids, assignments):
+        return float(np.sum((X - centroids[assignments]) ** 2))
+
+    def lloyd(centroids):
+        assignments = None
+        for iterations in range(1, max_iters + 1):
+            fresh = assign(centroids)
+            if assignments is not None and np.array_equal(fresh, assignments):
+                break
+            assignments = fresh
+            sums = np.zeros_like(centroids)
+            np.add.at(sums, assignments, X)
+            updated = sums / np.bincount(assignments, minlength=m)[:, None]
+            shift = np.max(np.linalg.norm(updated - centroids, axis=1))
+            centroids = updated
+            if shift < tol:
+                assignments = assign(centroids)
+                break
+        else:
+            assignments = assign(centroids)
+        return assignments, centroids, error(centroids, assignments), iterations
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    best = None
+    for _ in range(restarts):
+        run = lloyd(seed_centroids(rng))
+        if best is None or run[2] < best[2]:
+            best = run
+    assignments, centroids, err, iterations = best
+    order = np.argsort(assignments, kind="stable")
+    members = np.split(order, np.cumsum(np.bincount(assignments, minlength=m))[:-1])
+    return assignments, centroids, members, err, iterations

@@ -384,6 +384,24 @@ class TestFlagsBeforeReads:
             assert "--cost" in result.stderr
         assert not any(tmp_path.glob("[mc].*"))
 
+    @pytest.mark.parametrize("command", ["train", "bench_clusters", "bench_sizes"])
+    def test_overflowing_gamma_m_is_usage_error(self, tmp_path, train_csv, command):
+        # gamma = 1e308 is finite, but the solve shifts by gamma * m
+        data_flags = [["--data", str(train_csv)], ["--data", str(tmp_path / "absent.csv")]]
+        if command == "train":
+            args = ["train", "--clusters", "7", "--model-out", str(tmp_path / "m.json")]
+        elif command == "bench_clusters":
+            args = ["bench", "clusters", "--m-list", "3,7", "--out", str(tmp_path / "c.csv")]
+        else:
+            args = ["bench", "sizes", "--sizes", "200", "--clusters", "4",
+                    "--out", str(tmp_path / "s.csv")]
+            data_flags = [[]]
+        for flags in data_flags:
+            result = run_cli(*args, *flags, "--gamma", "1e308")
+            assert result.returncode == 2, result.stderr
+            assert "gamma*m overflows" in result.stderr
+        assert not any(tmp_path.glob("[mcs].*"))
+
     @pytest.mark.parametrize("where", ["directory", "under_a_file"])
     @pytest.mark.parametrize("command", ["train", "granulate"])
     def test_output_path_that_cannot_be_a_file_is_usage_error(

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_binary_dataset
-from oracles import best_two_partition_error
+from conftest import random_binary_dataset, traced_peak
+from oracles import best_two_partition_error, reference_kmeans
 
 from lugsi import DataError, Dataset, assign_to_granules, generate_ndc, kmeans_granulate
 from lugsi.granulation import Granulation
@@ -98,6 +98,97 @@ class TestKmeansGranulate:
         g = kmeans_granulate(data, 3, seed=0)
         counts = [members.size for members in g.granule_members]
         assert min(counts) >= 1 and sum(counts) == 6
+
+
+def sweep_cases(count, seed=2024):
+    """Seeded k-means inputs: l in [2, 400], n in [1, 20], scales 1e-3 to 1e3,
+    m from 1 to l, 1 to 5 restarts; uniform rows, rows rounded onto a grid
+    (ties), two copies of one half, and all rows identical."""
+    gen = np.random.default_rng(seed)
+    for i in range(count):
+        kind = ("uniform", "rounded", "halves", "identical")[i % 4]
+        l = int(np.exp(gen.uniform(np.log(2), np.log(400))))
+        n = 1 if i % 7 == 0 else int(gen.integers(1, 21))
+        X = gen.random((l, n))
+        if kind == "rounded":
+            X = np.round(X * 3) / 3
+        elif kind == "halves":
+            X = np.vstack([X[: (l + 1) // 2]] * 2)[gen.permutation(l)]
+        elif kind == "identical":
+            X = np.tile(X[:1], (l, 1))
+        m = l if i % 5 == 0 else int(np.exp(gen.uniform(0, np.log(l + 1))))
+        m = max(1, min(m, l))
+        distinct = len(np.unique(X, axis=0))
+        if m > distinct and l > 40:
+            # more granules than distinct rows keeps Lloyd repairing for
+            # MAX_ITERS passes; keep those cases small
+            m = distinct
+        scale = 10.0 ** gen.uniform(-3, 3)
+        yield X * scale, m, int(gen.integers(0, 2**31)), int(gen.integers(1, 6))
+    # one large case on 10 blobs, where each pick recomputes about 300 of
+    # the 3000 rows (on 32-d Gaussian noise the bound prunes almost none)
+    yield generate_ndc(3000, 32, 10, seed=seed).features, 200, seed, 1
+
+
+class TestExactFastKmeans:
+    def test_bitwise_equal_to_the_reference_kmeans(self):
+        cases = 0
+        for X, m, seed, restarts in sweep_cases(320):
+            data = Dataset(X, np.arange(len(X)) % 2)
+            g = kmeans_granulate(data, m, seed, restarts=restarts)
+            assignments, centroids, members, error, iterations = reference_kmeans(
+                data.features, m, seed, restarts
+            )
+            case = (X.shape, m, seed, restarts)
+            assert g.assignments.tobytes() == assignments.tobytes(), case
+            assert g.centroids.tobytes() == centroids.tobytes(), case
+            assert len(g.granule_members) == len(members), case
+            for got, want in zip(g.granule_members, members):
+                assert got.tobytes() == want.tobytes(), case
+            assert g.clustering_error == error, case
+            assert g.iterations_run == iterations, case
+            cases += 1
+        assert cases >= 300
+
+    @pytest.mark.parametrize("seed", [16, 18, 24])
+    def test_seeding_at_subnormal_scale_matches_the_reference(self, seed):
+        # squared distances near 1e-322 carry absolute, not relative, rounding;
+        # a purely relative pruning slack changes picks on these seeds
+        gen = np.random.default_rng(seed)
+        X = np.round(gen.random((40, 2)) * 50) / 50 * 1e-161
+        data = Dataset(X, np.arange(40) % 2)
+        for m in (10, 25, 35):
+            g = kmeans_granulate(data, m, seed, restarts=1)
+            assignments, centroids, _, _, _ = reference_kmeans(data.features, m, seed, 1)
+            assert g.assignments.tobytes() == assignments.tobytes()
+            assert g.centroids.tobytes() == centroids.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_overflowing_distances_are_a_data_error(self, seed):
+        rows = np.array([[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0], [5.0, 1.0]])
+        data = Dataset(rows, np.array([0, 1, 0, 1]))
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="overflow"):
+            kmeans_granulate(data, 3, seed)
+
+    def test_restarts_stop_at_zero_error(self):
+        data = make_dataset(9, l=30, n=3)
+        one_trace: list = []
+        ten_trace: list = []
+        one = kmeans_granulate(data, 30, seed=4, restarts=1, error_trace=one_trace)
+        ten = kmeans_granulate(data, 30, seed=4, restarts=10, error_trace=ten_trace)
+        assert one.clustering_error == 0.0
+        assert ten_trace == one_trace
+        assert ten.assignments.tobytes() == one.assignments.tobytes()
+        assert ten.centroids.tobytes() == one.centroids.tobytes()
+        assert ten.iterations_run == one.iterations_run
+
+    def test_distance_buffers_are_reused(self):
+        l, m = 4000, 250
+        data = generate_ndc(l, 8, 10, seed=3)
+        one_array = l * m * 8
+        peak = traced_peak(kmeans_granulate, data, m, 3, 1)
+        # each assignment pass holds two l x m arrays; a third would pass 2.5
+        assert peak < 2.5 * one_array
 
 
 class TestAssignToGranules:

@@ -166,6 +166,14 @@ class TestFitLinear:
         with pytest.raises(DataError, match="gamma"):
             fit_linear_lugsi(data, g, invs, gamma=0.0)
 
+    def test_overflowing_gamma_m_is_a_data_error(self):
+        # gamma is finite but gamma * m (m = 3) overflows the solve's shift
+        data, g, invs, _, _ = fitted_linear(13)
+        with pytest.raises(DataError, match=r"gamma\*m overflows"):
+            fit_linear_lugsi(data, g, invs, gamma=1e308)
+        with pytest.raises(DataError, match=r"gamma\*m overflows"):
+            fit_kernel_lugsi(data, g, invs, KernelSpec(kind="rbf"), gamma=1e308)
+
     def test_misaligned_invariants_rejected(self):
         data, g, invs, _, _ = fitted_linear(15)
         with pytest.raises(DataError):
