@@ -166,23 +166,35 @@ def _load_data(args) -> Dataset:
     return load_sparse(args.data, dimension_hint=args.dimension_hint)
 
 
-def _resolve_gamma(gamma: float | None, cost: float | None, parser, m: int) -> float:
-    """The regularization weight from --gamma or --cost; m is the largest
-    granule count it is used with, since the solve shifts by gamma*m."""
+def _resolve_gamma(
+    gamma: float | None, cost: float | None, parser, m: int, cost_flag: str = "--cost"
+) -> float:
+    """gamma from --gamma or from the cost C = 1/gamma of `cost_flag`; m is the
+    largest granule count it is used with, since the solve shifts by gamma*m."""
     if gamma is not None and cost is not None:
         parser.error("--gamma and --cost are mutually exclusive")
-    for flag, value in (("--cost", cost), ("--gamma", gamma)):
+    for flag, value in ((cost_flag, cost), ("--gamma", gamma)):
         if value is not None and not 0 < value < math.inf:
             parser.error(f"{flag} must be positive")
     if cost is None:
         gamma = 1.0 if gamma is None else gamma
     elif not 1.0 / cost < math.inf:
-        parser.error(f"--cost {cost!r} is too small: 1/cost is not a finite gamma")
+        parser.error(f"{cost_flag} {cost!r} is too small: 1/C is not a finite gamma")
     else:
         gamma = 1.0 / cost
     if not gamma * m < math.inf:
         parser.error(f"gamma*m overflows for gamma={gamma!r} and m={m}")
     return gamma
+
+
+def _check_kernel_flags(parser, kind: str, deltas, cro_gamma: float) -> None:
+    """A delta or cro gamma that KernelSpec rejects is a usage error, whatever the kernel."""
+    try:
+        for delta in deltas:
+            KernelSpec("rbf", delta=delta)
+        KernelSpec(kind, cro_gamma=cro_gamma)
+    except DataError as exc:
+        parser.error(str(exc))
 
 
 def _parse_list(text: str | None, kind: type, flag: str, parser, default=None) -> tuple:
@@ -225,6 +237,7 @@ def cmd_train(args, parser) -> int:
     gamma = _resolve_gamma(args.gamma, args.cost, parser, args.clusters)
     if args.clusters < 1:
         parser.error("m must be >= 1")
+    _check_kernel_flags(parser, args.kernel, (args.delta,), args.cro_gamma)
     data = _load_data(args)
     scaled, params = minmax_scale(data)
     started = time.perf_counter()
@@ -272,8 +285,11 @@ def cmd_cv(args, parser) -> int:
     delta_values = _parse_list(
         args.delta_grid, float, "--delta-grid", parser, default_delta_values()
     )
-    # The default m grid depends on the row count, so it waits for the data.
+    _check_kernel_flags(parser, args.kernel, delta_values, args.cro_gamma)
+    # The default m grid depends on the row count, so it (and its gamma*m) waits for the data.
     m_values = _parse_list(args.m_grid, int, "--m-grid", parser, default=())
+    for c in c_values:
+        _resolve_gamma(None, c, parser, max(m_values, default=1), "--c-grid")
     data = _load_data(args)
     grid = GridSpec(
         c_values=c_values,
@@ -354,6 +370,7 @@ def cmd_bench_clusters(args, parser) -> int:
     gamma = _resolve_gamma(args.gamma, args.cost, parser, max(m_values))
     if any(m < 1 for m in m_values):
         parser.error("m must be >= 1")
+    _check_kernel_flags(parser, args.kernel, (args.delta,), args.cro_gamma)
     data = _load_data(args)
     config = CVConfig(
         kernel_kind=args.kernel,

@@ -37,6 +37,9 @@ from .solver import fit_kernel_lugsi, fit_linear_lugsi, predict_labels
 SMALL_DATASET_LIMIT = 800
 # blobs in the synthetic data of benchmark_scaling
 _SCALING_DATA_CLUSTERS = 10
+# benchmark_scaling times the V-matrix up to this l, and the median of this many fits
+SCALING_V_MATRIX_LIMIT = 5000
+SCALING_FIT_REPEATS = 5
 
 
 def default_c_values() -> tuple[float, ...]:
@@ -71,12 +74,14 @@ class GridSpec:
     def __post_init__(self):
         if not self.c_values or not self.m_values:
             raise DataError("grid must contain at least one C and one m value")
-        if not all(0 < c < math.inf for c in self.c_values):
-            raise DataError("C values must be positive")
-        if not all(0 < d < math.inf for d in self.delta_values):
-            raise DataError("delta values must be positive")
+        m_max = max(self.m_values)
+        for c in self.c_values:
+            if not (0 < c < math.inf and 1.0 / c * m_max < math.inf):
+                raise DataError(f"C values must be positive, gamma*m finite: C={c!r}, m={m_max}")
         if any(m < 1 for m in self.m_values):
             raise DataError("m values must be >= 1")
+        for delta in self.delta_values:
+            KernelSpec("rbf", delta=delta)
         if self.folds < 2:
             raise DataError("need at least 2 folds")
 
@@ -407,16 +412,14 @@ def benchmark_scaling(
     gamma: float = 1.0,
     restarts: int = 2,
     include_v_matrix: bool = True,
-    v_matrix_limit: int = 5000,
-    fit_repeats: int = 5,
 ) -> list[ScalingBenchRow]:
     """Timing sweep over dataset sizes on synthetic blob data.
 
     Per size: generate data, cluster it, time the invariant construction
     (normalized v vectors and targets; the per-granule accumulations are
-    part of each fit), time the linear fit (median of repeats), and, up
-    to the limit, time full V-matrix assembly for contrast. Accuracy is
-    from an 80/20 holdout.
+    part of each fit), time the linear fit (median of
+    SCALING_FIT_REPEATS), and, up to SCALING_V_MATRIX_LIMIT rows, time
+    full V-matrix assembly for contrast. Accuracy is from an 80/20 holdout.
     """
     sizes = list(sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
@@ -439,16 +442,16 @@ def benchmark_scaling(
         assembly_seconds = time.perf_counter() - started
 
         fit_times = []
-        for _ in range(fit_repeats):
+        for _ in range(SCALING_FIT_REPEATS):
             started = time.perf_counter()
             model, _ = fit_linear_lugsi(scaled, granulation, invariants, gamma, params)
             fit_times.append(time.perf_counter() - started)
         fit_seconds = float(np.median(fit_times))
 
         v_matrix_seconds = None
-        if include_v_matrix and l <= v_matrix_limit:
+        if include_v_matrix and l <= SCALING_V_MATRIX_LIMIT:
             started = time.perf_counter()
-            v_matrix(scaled, measure, max_rows=v_matrix_limit)
+            v_matrix(scaled, measure)
             v_matrix_seconds = time.perf_counter() - started
 
         scaled_test = apply_scaling(test, params)

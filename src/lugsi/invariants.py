@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DataError
+from .errors import DataError, check_array_entries
 from .granulation import Granulation
 
 UNIFORM_UNIT_CUBE = "uniform-unit-cube"
 EMPIRICAL = "empirical"
 
-# refuse to materialize an l x l matrix above this row count unless overridden
-V_MATRIX_ROW_CAP = 10_000
 # reference rows per domination block: the (block, l, n) comparison is the
 # largest temporary of the empirical measure
 _REFERENCE_BLOCK = 128
@@ -174,20 +172,16 @@ def unit_granule_invariants(data: Dataset, granulation: Granulation) -> list[Gra
     return _granule_invariants(data, granulation, None, lambda v: v)
 
 
-def v_matrix(data: Dataset, measure: MeasureSpec, max_rows: int = V_MATRIX_ROW_CAP) -> np.ndarray:
+def v_matrix(data: Dataset, measure: MeasureSpec) -> np.ndarray:
     """Full l x l matrix of pairwise step-function product integrals.
 
     Uniform kind: entry (i,j) = prod_k (1 - max(x_i^k, x_j^k)). Empirical
     kind: the fraction of reference points dominating both samples. The
     result is symmetric positive semidefinite. This is the quadratic-cost
     object the granulated solvers exist to avoid, so it refuses to
-    materialize above `max_rows` rows.
+    materialize when l * l is above `errors.MAX_ARRAY_ENTRIES`.
     """
-    if data.l > max_rows:
-        raise DataError(
-            f"refusing to build a {data.l}x{data.l} V-matrix (cap {max_rows}); "
-            "raise max_rows explicitly if you really want this"
-        )
+    check_array_entries("V-matrix", data.l, data.l)
     X = data.features
     if measure.kind == UNIFORM_UNIT_CUBE:
         _require_unit_cube(X)

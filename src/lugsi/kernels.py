@@ -38,8 +38,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in (LINEAR, RBF, CRO):
             raise DataError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == RBF and not self.delta > 0.0:
-            raise DataError("rbf kernel requires delta > 0")
+        if self.kind == RBF:
+            # the Gram divides by 2 delta^2, which must neither underflow nor overflow
+            width = 2.0 * float(self.delta) * float(self.delta)
+            if not (self.delta > 0.0 and 0.0 < width < math.inf):
+                raise DataError("rbf kernel requires delta > 0 with 2*delta^2 finite and nonzero")
         if self.kind == CRO and not math.isfinite(self.cro_gamma):
             raise DataError("cro kernel requires a finite gamma constant")
 

@@ -23,6 +23,10 @@ is the identity-weighted degenerate mode (singleton granules, unit
 predicates, so its effective regularizer is gamma * l). Both build the
 whole design. All four modes share one closed-form bias recovery, model
 and diagnostics path.
+
+A fit refuses to start when its largest array would hold more than
+`errors.MAX_ARRAY_ENTRIES` entries: max(m, Gram block rows) x l for a granulated
+kernel fit, l x l for a kernel LSSVM or a V-matrix fit.
 """
 
 import math
@@ -33,15 +37,13 @@ import numpy as np
 import scipy.linalg
 
 from .dataset import Dataset, ScalingParams
-from .errors import DataError, LugsiError, NumericError
+from .errors import DataError, LugsiError, NumericError, check_array_entries
 from .granulation import Granulation
 from .invariants import GranuleInvariant
 from .kernels import KernelSpec, gram_block
 from .serialize import dump_document, load_document
 
-KERNEL_SYSTEM_ROW_CAP = 15_000
 ROW_BLOCK = 1024
-VSVM_ROW_CAP = 10_000
 _PSD_CHECK_LIMIT = 1_500
 _B_DEGENERACY_TOL = 1e-12
 
@@ -162,19 +164,11 @@ def solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _factor_solve(M, rhs)[0]
 
 
-def _check_rows(data: Dataset, max_rows: int) -> None:
-    if data.l > max_rows:
-        raise DataError(
-            f"kernel fit has {data.l} training rows, above the cap {max_rows}; "
-            "raise max_system_rows explicitly if you really want this"
-        )
-
-
-def _design(data: Dataset, kernel: KernelSpec | None, max_rows: int) -> np.ndarray:
-    """The feature matrix, or the l x l training Gram block under a row cap."""
+def _design(data: Dataset, kernel: KernelSpec | None) -> np.ndarray:
+    """The feature matrix, or the l x l training Gram block within the budget."""
     if kernel is None:
         return data.features
-    _check_rows(data, max_rows)
+    check_array_entries("training Gram", data.l, data.l)
     return gram_block(kernel, data.features, data.features)
 
 
@@ -303,7 +297,6 @@ def _granulated_fit(
     kernel: KernelSpec | None,
     gamma: float,
     scaling: ScalingParams | None,
-    max_rows: int,
 ):
     """Rank-one fit with one invariant per granule, in granule-index order.
 
@@ -327,7 +320,9 @@ def _granulated_fit(
         for k, members in enumerate(granulation.granule_members):
             P[k] = invariants[k].v @ data.features[members]
     else:
-        _check_rows(data, max_rows)
+        # P and a Gram block are the largest arrays; the min(m, l) square system is no larger
+        block = max(rows.stop - rows.start for rows in _row_blocks(data.l))
+        check_array_entries("kernel P or Gram block", max(m, block), data.l)
         P = _kernel_rows(data, granulation, invariants, kernel)
     return _rank_one_fit(data, kernel, P, s, t, gamma, m, granulation.seed, scaling)
 
@@ -346,9 +341,7 @@ def fit_linear_lugsi(
     the accumulated bias stationarity equation. A near-zero bias
     denominator falls back to b = 0 with the diagnostics flag set.
     """
-    return _granulated_fit(
-        data, granulation, invariants, None, gamma, scaling, KERNEL_SYSTEM_ROW_CAP
-    )
+    return _granulated_fit(data, granulation, invariants, None, gamma, scaling)
 
 
 def fit_kernel_lugsi(
@@ -358,19 +351,17 @@ def fit_kernel_lugsi(
     kernel: KernelSpec,
     gamma: float,
     scaling: ScalingParams | None = None,
-    max_system_rows: int = KERNEL_SYSTEM_ROW_CAP,
 ) -> tuple[KernelModel, FitDiagnostics]:
     """Kernel-space analogue of the linear fit.
 
     The compressed vectors q_k = K_k^T v_k against the full training set
     are accumulated from Gram blocks of about `ROW_BLOCK` rows, and with
     m < l the solve is m x m, so the fit takes O(m * l) memory and never
-    builds the l x l Gram. With m >= l the system is l x l. The cap
-    `max_system_rows` is on the number of training rows l.
+    builds the l x l Gram. With m >= l the system is l x l. The budget
+    `errors.MAX_ARRAY_ENTRIES` bounds max(m, Gram block rows) * l, so
+    with few granules l may go well past the l of an l x l budget.
     """
-    return _granulated_fit(
-        data, granulation, invariants, kernel, gamma, scaling, max_system_rows
-    )
+    return _granulated_fit(data, granulation, invariants, kernel, gamma, scaling)
 
 
 def fit_lssvm(
@@ -379,7 +370,6 @@ def fit_lssvm(
     kernel: KernelSpec | None = None,
     scaling: ScalingParams | None = None,
     seed: int = 0,
-    max_system_rows: int = KERNEL_SYSTEM_ROW_CAP,
 ) -> tuple[LinearModel | KernelModel, FitDiagnostics]:
     """Identity-weighted least-squares fit (unit predicates, singleton granules).
 
@@ -388,7 +378,7 @@ def fit_lssvm(
     computed directly from the design matrix for speed. A kernel spec
     switches to the kernel parameterization.
     """
-    design = _design(data, kernel, max_system_rows)
+    design = _design(data, kernel)
     # singleton granules with unit predicates: P rows are the design rows
     return _rank_one_fit(
         data, kernel, design, np.ones(data.l), data.labels.astype(np.float64),
@@ -403,15 +393,13 @@ def fit_vsvm(
     kernel: KernelSpec | None = None,
     scaling: ScalingParams | None = None,
     seed: int = 0,
-    max_rows: int = VSVM_ROW_CAP,
 ) -> tuple[LinearModel | KernelModel, FitDiagnostics]:
     """Dense reference fit weighting residuals by a full V-matrix.
 
     Minimizes (F - Y)^T V (F - Y) + gamma * ||params||^2 with no rank-one
     shortcut (m = 1); kept for equivalence cross-checks and small problems.
     """
-    if data.l > max_rows:
-        raise DataError(f"V-matrix mode refuses l={data.l} rows (cap {max_rows})")
+    check_array_entries("V-matrix fit system", data.l, data.l)
     V = np.asarray(V, dtype=np.float64)
     if V.shape != (data.l, data.l):
         raise DataError("V must be an l x l matrix")
@@ -423,7 +411,7 @@ def fit_vsvm(
         if smallest < -1e-8:
             raise DataError(f"V is not positive semidefinite (eigenvalue {smallest:.3e})")
 
-    design = _design(data, kernel, max_rows)
+    design = _design(data, kernel)
     labels = data.labels.astype(np.float64)
     ones = np.ones(data.l)
     oV = ones @ V

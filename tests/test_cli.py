@@ -19,6 +19,8 @@ from lugsi import (
     predict_labels,
     save_model,
 )
+from lugsi import errors
+from lugsi.cli import main
 from lugsi.evaluation import train_fold_pipeline
 
 
@@ -136,6 +138,23 @@ class TestTrain:
         assert result.returncode == 2, result.stderr
         assert f"{flag} must be positive" in result.stderr
         assert not any(tmp_path.glob("[ms].*"))
+
+    def test_fit_above_the_array_budget_is_data_error(
+        self, tmp_path, train_csv, monkeypatch, capsys
+    ):
+        # in process, so the smaller budget holds; m = 2 but the one Gram block is 30 x 30
+        monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 10 * 30)
+        model = tmp_path / "m.json"
+        code = main([
+            "train", "--data", str(train_csv), "--kernel", "rbf", "--clusters", "2",
+            "--model-out", str(model),
+        ])
+        assert code == 3
+        assert (
+            "data error: refusing to build the 30x30 kernel P or Gram block: "
+            "900 entries are above the cap of 300"
+        ) in capsys.readouterr().err
+        assert not model.exists()
 
     def test_cost_maps_to_inverse_gamma(self, tmp_path, train_csv):
         out_cost = tmp_path / "cost.json"
@@ -371,36 +390,74 @@ class TestFlagsBeforeReads:
         assert result.returncode == 2, result.stderr
         assert message in result.stderr
 
-    @pytest.mark.parametrize("command", ["train", "bench_clusters"])
+    @pytest.mark.parametrize("command", ["train", "bench_clusters", "cv"])
     def test_cost_with_infinite_inverse_is_usage_error(self, tmp_path, train_csv, command):
-        # 1/cost overflows to inf for a subnormal cost
+        # 1/cost overflows to inf for a subnormal cost, whatever the m grid
+        flag = "--cost"
         if command == "train":
             args = ["train", "--model-out", str(tmp_path / "m.json")]
-        else:
+        elif command == "bench_clusters":
             args = ["bench", "clusters", "--m-list", "1,2", "--out", str(tmp_path / "c.csv")]
+        else:
+            flag = "--c-grid"
+            args = ["cv", "--report-out", str(tmp_path / "c.json"),
+                    "--csv-out", str(tmp_path / "c.csv")]
         for data in (train_csv, tmp_path / "absent.csv"):
-            result = run_cli(*args, "--data", str(data), "--cost", "1e-310")
+            result = run_cli(*args, "--data", str(data), flag, "1e-310")
             assert result.returncode == 2, result.stderr
-            assert "--cost" in result.stderr
+            assert flag in result.stderr
         assert not any(tmp_path.glob("[mc].*"))
 
-    @pytest.mark.parametrize("command", ["train", "bench_clusters", "bench_sizes"])
+    @pytest.mark.parametrize("command", ["train", "bench_clusters", "bench_sizes", "cv"])
     def test_overflowing_gamma_m_is_usage_error(self, tmp_path, train_csv, command):
         # gamma = 1e308 is finite, but the solve shifts by gamma * m
         data_flags = [["--data", str(train_csv)], ["--data", str(tmp_path / "absent.csv")]]
+        regularizer = ["--gamma", "1e308"]
         if command == "train":
             args = ["train", "--clusters", "7", "--model-out", str(tmp_path / "m.json")]
         elif command == "bench_clusters":
             args = ["bench", "clusters", "--m-list", "3,7", "--out", str(tmp_path / "c.csv")]
+        elif command == "cv":
+            args = ["cv", "--m-grid", "1,7", "--report-out", str(tmp_path / "c.json"),
+                    "--csv-out", str(tmp_path / "c.csv")]
+            regularizer = ["--c-grid", "1e-308"]
         else:
             args = ["bench", "sizes", "--sizes", "200", "--clusters", "4",
                     "--out", str(tmp_path / "s.csv")]
             data_flags = [[]]
         for flags in data_flags:
-            result = run_cli(*args, *flags, "--gamma", "1e308")
+            result = run_cli(*args, *flags, *regularizer)
             assert result.returncode == 2, result.stderr
             assert "gamma*m overflows" in result.stderr
         assert not any(tmp_path.glob("[mcs].*"))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["train", "--kernel", "rbf", "--delta", "inf"], "2*delta^2"),
+            (["train", "--kernel", "rbf", "--delta", "1e-200"], "2*delta^2"),
+            (["train", "--kernel", "cro", "--cro-gamma", "inf"], "finite gamma constant"),
+            (["cv", "--kernel", "rbf", "--delta-grid", "1,1e-200"], "2*delta^2"),
+            (["bench", "clusters", "--m-list", "2", "--kernel", "rbf", "--delta", "1e-200"],
+             "2*delta^2"),
+            (["bench", "clusters", "--m-list", "2", "--kernel", "cro", "--cro-gamma", "inf"],
+             "finite gamma constant"),
+        ],
+        ids=["train_delta_inf", "train_delta_underflow", "train_cro_gamma_inf",
+             "cv_delta_grid_underflow", "bench_clusters_delta_underflow",
+             "bench_clusters_cro_gamma_inf"],
+    )
+    def test_bad_kernel_flag_is_usage_error(self, tmp_path, train_csv, args, message):
+        outputs = {
+            "train": ["--model-out", str(tmp_path / "m.json")],
+            "cv": ["--report-out", str(tmp_path / "c.json"), "--csv-out", str(tmp_path / "c.csv")],
+            "bench": ["--out", str(tmp_path / "c.csv")],
+        }[args[0]]
+        for data in (train_csv, tmp_path / "absent.csv"):
+            result = run_cli(*args, *outputs, "--data", str(data))
+            assert result.returncode == 2, result.stderr
+            assert message in result.stderr
+        assert not any(tmp_path.glob("[mc].*"))
 
     @pytest.mark.parametrize("where", ["directory", "under_a_file"])
     @pytest.mark.parametrize("command", ["train", "granulate"])

@@ -1,5 +1,7 @@
 """Cross-validation, grid search, and benchmark harness contracts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -264,12 +266,23 @@ class TestGridSearch:
             grid_search(data, grid, "linear", threads=threads)
         assert calls == []
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    # a subnormal C has an infinite gamma = 1/C, a subnormal delta a zero 2 delta^2
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 1e-310], ids=["nan", "inf", "subnormal"]
+    )
     @pytest.mark.parametrize("field, message", [("c_values", "C values"), ("delta_values", "delta")])
     def test_non_finite_grid_value_is_rejected(self, field, message, value):
         values = {"c_values": (1.0,), "delta_values": (1.0,), field: (1.0, value)}
         with pytest.raises(DataError, match=message):
             GridSpec(**values, m_values=(2,), folds=3, seed=0)
+
+    def test_overflowing_gamma_m_is_rejected(self):
+        # gamma = 1/C = 1e308 is finite; the solve shifts by gamma * m
+        GridSpec(c_values=(1e-308,), delta_values=(), m_values=(1,), folds=3, seed=0)
+        with pytest.raises(DataError, match="gamma\\*m finite: C=1e-308, m=7"):
+            GridSpec(c_values=(1.0, 1e-308), delta_values=(), m_values=(1, 7), folds=3, seed=0)
+        with pytest.raises(DataError, match="gamma\\*m finite: C=1e-308, m=20"):
+            replace(GridSpec.default(20), c_values=(1e-308,))
 
     def test_report_document_zero_timing(self, rng):
         data = random_binary_dataset(rng, 18, 2)
@@ -293,10 +306,10 @@ class TestDefaults:
 
 
 class TestBenchmarks:
-    def test_scaling_rows(self):
-        rows = benchmark_scaling(
-            (300, 600), features=4, m=5, seed=0, fit_repeats=2, v_matrix_limit=600
-        )
+    def test_scaling_rows(self, monkeypatch):
+        monkeypatch.setattr(lugsi.evaluation, "SCALING_FIT_REPEATS", 2)
+        monkeypatch.setattr(lugsi.evaluation, "SCALING_V_MATRIX_LIMIT", 600)
+        rows = benchmark_scaling((300, 600), features=4, m=5, seed=0)
         assert [row.l for row in rows] == [300, 600]
         for row in rows:
             assert row.granulate_seconds > 0.0
@@ -305,10 +318,10 @@ class TestBenchmarks:
             assert row.v_matrix_seconds is not None and row.v_matrix_seconds > 0.0
             assert 0.0 <= row.holdout_accuracy <= 1.0
 
-    def test_v_matrix_skipped_above_limit(self):
-        rows = benchmark_scaling(
-            (300, 600), features=3, m=4, seed=1, fit_repeats=1, v_matrix_limit=400
-        )
+    def test_v_matrix_skipped_above_limit(self, monkeypatch):
+        monkeypatch.setattr(lugsi.evaluation, "SCALING_FIT_REPEATS", 1)
+        monkeypatch.setattr(lugsi.evaluation, "SCALING_V_MATRIX_LIMIT", 400)
+        rows = benchmark_scaling((300, 600), features=3, m=4, seed=1)
         assert rows[0].v_matrix_seconds is not None
         assert rows[1].v_matrix_seconds is None
 

@@ -21,6 +21,7 @@ from lugsi import (
     v_matrix,
     v_value,
 )
+from lugsi import errors
 
 
 class TestVValue:
@@ -196,10 +197,13 @@ class TestVMatrix:
         assert V[0, 1] == pytest.approx(0.5)
         assert V[1, 1] == pytest.approx(0.5)
 
-    def test_row_cap(self, rng):
+    def test_row_cap(self, rng, monkeypatch):
         data = random_binary_dataset(rng, 40, 2)
-        with pytest.raises(DataError, match="cap"):
-            v_matrix(data, MeasureSpec.uniform(), max_rows=30)
+        monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 40 * 40)
+        assert v_matrix(data, MeasureSpec.uniform()).shape == (40, 40)
+        monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 40 * 40 - 1)
+        with pytest.raises(DataError, match="40x40 V-matrix: 1600 entries .* cap"):
+            v_matrix(data, MeasureSpec.uniform())
 
 
 class TestEmpiricalMeasureBlocks:

@@ -94,6 +94,16 @@ class TestKernelEval:
         with pytest.raises(DataError):
             KernelSpec("cro", cro_gamma=math.inf)
 
+    def test_rbf_delta_needs_finite_nonzero_two_delta_squared(self):
+        # 2 delta^2 divides every squared distance of the Gram
+        for delta in (1e-150, 1.0, 1e150):
+            KernelSpec("rbf", delta=delta)
+        for delta in (math.inf, math.nan, -1.0, 0.0, 1e-200, 1e-310, 1e155):
+            with pytest.raises(DataError, match=r"2\*delta\^2 finite and nonzero"):
+                KernelSpec("rbf", delta=delta)
+        # the other kernels do not read delta
+        KernelSpec("cro", delta=1e-200)
+
 
 class TestGramBlock:
     def test_single_point_rbf(self):

@@ -41,7 +41,7 @@ from lugsi import (
     unit_granule_invariants,
     v_value,
 )
-from lugsi import solver
+from lugsi import errors, solver
 from lugsi.solver import ROW_BLOCK, model_document
 from lugsi.serialize import dump_document
 
@@ -258,12 +258,14 @@ class TestFitKernel:
                 predict_labels(kernel_model, data.features),
             )
 
-    def test_row_cap(self, rng):
+    def test_row_cap(self, rng, monkeypatch):
         data = random_binary_dataset(rng, 30, 2)
         g = kmeans_granulate(data, 2, seed=0)
         invs = granule_v_vectors(data, g, MeasureSpec.uniform())
+        # the one Gram block holds all 30 x 30 entries
+        monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 30 * 30 - 1)
         with pytest.raises(DataError, match="cap"):
-            fit_kernel_lugsi(data, g, invs, KernelSpec("rbf", delta=1.0), 0.1, max_system_rows=20)
+            fit_kernel_lugsi(data, g, invs, KernelSpec("rbf", delta=1.0), 0.1)
 
 
 class TestLssvm:
@@ -522,6 +524,41 @@ class TestKernelBlocks:
         model, _ = fit_kernel_lugsi(data, g, invs, KernelSpec("rbf", delta=0.5), 0.5)
         peak = traced_peak(decision_values, model, gen.random((5000, 4)))
         assert peak < 48e6
+
+
+class TestArrayBudget:
+    """errors.MAX_ARRAY_ENTRIES bounds the largest array of each build."""
+
+    def test_granulated_kernel_fit_is_bounded_by_m_times_l(self, monkeypatch):
+        data = random_binary_dataset(np.random.default_rng(85), 30, 3)
+        spec = KernelSpec("rbf", delta=0.5)
+        monkeypatch.setattr(solver, "ROW_BLOCK", 5)
+        g = kmeans_granulate(data, 2, seed=0)
+        invs = granule_v_vectors(data, g, MeasureSpec.uniform())
+        unguarded, _ = fit_kernel_lugsi(data, g, invs, spec, 0.2)
+        # P is 2 x 30 and each Gram block 5 x 30, within 10 * l < l * l
+        monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 10 * data.l)
+        guarded, _ = fit_kernel_lugsi(data, g, invs, spec, 0.2)
+        assert dump_document(model_document(guarded)) == dump_document(model_document(unguarded))
+        singletons = singleton_granulation(data)
+        invs = granule_v_vectors(data, singletons, MeasureSpec.uniform())
+        with pytest.raises(DataError, match="30x30 kernel P or Gram block: 900 entries .* cap"):
+            fit_kernel_lugsi(data, singletons, invs, spec, 0.2)
+
+    @pytest.mark.parametrize("mode", ["lssvm_kernel", "vsvm_linear", "vsvm_kernel"])
+    def test_square_fits_are_bounded_by_l_squared(self, monkeypatch, mode):
+        data = random_binary_dataset(np.random.default_rng(86), 12, 2)
+        spec = KernelSpec("rbf", delta=0.5)
+        fit = {
+            "lssvm_kernel": lambda: fit_lssvm(data, 0.3, kernel=spec),
+            "vsvm_linear": lambda: fit_vsvm(data, np.eye(data.l), 0.3),
+            "vsvm_kernel": lambda: fit_vsvm(data, np.eye(data.l), 0.3, kernel=spec),
+        }[mode]
+        monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 12 * 12)
+        fit()
+        monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 12 * 12 - 1)
+        with pytest.raises(DataError, match="12x12 .*: 144 entries .* cap"):
+            fit()
 
 
 class TestPrediction:
