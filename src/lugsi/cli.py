@@ -82,14 +82,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lugsi", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lugsi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # integer flags are checked as they are parsed, before any input is read
+    seed, restarts = _at_least(0, "--seed"), _at_least(1, "--restarts")
+    clusters, folds = _at_least(1, "m"), _at_least(2, "--folds")
+    threads = _at_least(1, "--threads")
 
     p_train = sub.add_parser("train", help="fit a model and write it to disk")
     _add_data_flags(p_train)
     _add_kernel_flags(p_train)
     _add_regularizer_flags(p_train)
-    p_train.add_argument("--clusters", type=int, default=1, help="granule count m")
-    p_train.add_argument("--seed", type=int, default=0)
-    p_train.add_argument("--restarts", type=int, default=10, help="k-means restarts")
+    p_train.add_argument("--clusters", type=clusters, default=1, help="granule count m")
+    p_train.add_argument("--seed", type=seed, default=0)
+    p_train.add_argument("--restarts", type=restarts, default=10, help="k-means restarts")
     p_train.add_argument(
         "--measure", choices=("uniform", "empirical"), default="uniform",
         help="v-value measure (empirical uses the training set as reference); "
@@ -110,11 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--c-grid", default=None, help="comma-separated C values")
     p_cv.add_argument("--delta-grid", default=None, help="comma-separated delta values")
     p_cv.add_argument("--m-grid", default=None, help="comma-separated m values")
-    p_cv.add_argument("--folds", type=int, default=5)
-    p_cv.add_argument("--seed", type=int, default=0)
-    p_cv.add_argument("--restarts", type=int, default=10)
+    p_cv.add_argument("--folds", type=folds, default=5)
+    p_cv.add_argument("--seed", type=seed, default=0)
+    p_cv.add_argument("--restarts", type=restarts, default=10)
     p_cv.add_argument(
-        "--threads", type=int, default=1, help="worker processes over (fold, m) units"
+        "--threads", type=threads, default=1, help="worker processes over (fold, m) units"
     )
     p_cv.add_argument("--timing", choices=("wall", "zero"), default="wall")
     p_cv.add_argument("--report-out", required=True, type=_output_path)
@@ -126,11 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sizes = bench_sub.add_parser("sizes", help="scaling sweep over synthetic data sizes")
     p_sizes.add_argument("--sizes", required=True, help="comma-separated ascending sizes")
-    p_sizes.add_argument("--features", type=int, default=32)
-    p_sizes.add_argument("--clusters", type=int, default=50, help="granule count m")
+    p_sizes.add_argument("--features", type=_at_least(1, "--features"), default=32)
+    p_sizes.add_argument("--clusters", type=clusters, default=50, help="granule count m")
     p_sizes.add_argument("--gamma", type=float, default=1.0)
-    p_sizes.add_argument("--seed", type=int, default=0)
-    p_sizes.add_argument("--restarts", type=int, default=2)
+    p_sizes.add_argument("--seed", type=seed, default=0)
+    p_sizes.add_argument("--restarts", type=restarts, default=2)
     p_sizes.add_argument("--no-v-matrix", action="store_true", help="skip the contrast column")
     p_sizes.add_argument("--timing", choices=("wall", "zero"), default="wall")
     p_sizes.add_argument("--out", required=True, type=_output_path)
@@ -141,18 +145,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kernel_flags(p_mlist)
     _add_regularizer_flags(p_mlist)
     p_mlist.add_argument("--m-list", required=True, help="comma-separated m values")
-    p_mlist.add_argument("--folds", type=int, default=5)
-    p_mlist.add_argument("--seed", type=int, default=0)
-    p_mlist.add_argument("--restarts", type=int, default=10)
+    p_mlist.add_argument("--folds", type=folds, default=5)
+    p_mlist.add_argument("--seed", type=seed, default=0)
+    p_mlist.add_argument("--restarts", type=restarts, default=10)
     p_mlist.add_argument("--timing", choices=("wall", "zero"), default="wall")
     p_mlist.add_argument("--out", required=True, type=_output_path)
     p_mlist.set_defaults(handler=cmd_bench_clusters)
 
     p_gran = sub.add_parser("granulate", help="cluster the data and emit assignments")
     _add_data_flags(p_gran)
-    p_gran.add_argument("--clusters", type=int, required=True, help="granule count m")
-    p_gran.add_argument("--seed", type=int, default=0)
-    p_gran.add_argument("--restarts", type=int, default=10)
+    p_gran.add_argument("--clusters", type=clusters, required=True, help="granule count m")
+    p_gran.add_argument("--seed", type=seed, default=0)
+    p_gran.add_argument("--restarts", type=restarts, default=10)
     p_gran.add_argument("--emit-v", action="store_true", help="include uniform-measure v-values")
     p_gran.add_argument("--out", required=True, type=_output_path)
     p_gran.set_defaults(handler=cmd_granulate)
@@ -203,12 +207,26 @@ def _parse_list(text: str | None, kind: type, flag: str, parser, default=None) -
         return default
     try:
         values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     except ValueError:
-        noun = "integers" if kind is int else "numbers"
+        noun = "numbers" if kind is float else "integers"
         parser.error(f"{flag} expects comma-separated {noun}")
     if not values:
         parser.error(f"{flag} must not be empty")
     return values
+
+
+def _at_least(low: int, name: str):
+    """argparse type of an integer flag that must be at least `low`."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _output_path(text: str) -> str:
@@ -235,8 +253,6 @@ def _write_table(path: str, command: str, pairs, columns: str, rows, trailer=())
 
 def cmd_train(args, parser) -> int:
     gamma = _resolve_gamma(args.gamma, args.cost, parser, args.clusters)
-    if args.clusters < 1:
-        parser.error("m must be >= 1")
     _check_kernel_flags(parser, args.kernel, (args.delta,), args.cro_gamma)
     data = _load_data(args)
     scaled, params = minmax_scale(data)
@@ -279,15 +295,13 @@ def cmd_predict(args, parser) -> int:
 
 
 def cmd_cv(args, parser) -> int:
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     c_values = _parse_list(args.c_grid, float, "--c-grid", parser, default_c_values())
     delta_values = _parse_list(
         args.delta_grid, float, "--delta-grid", parser, default_delta_values()
     )
     _check_kernel_flags(parser, args.kernel, delta_values, args.cro_gamma)
     # The default m grid depends on the row count, so it (and its gamma*m) waits for the data.
-    m_values = _parse_list(args.m_grid, int, "--m-grid", parser, default=())
+    m_values = _parse_list(args.m_grid, _at_least(1, "m"), "--m-grid", parser, default=())
     for c in c_values:
         _resolve_gamma(None, c, parser, max(m_values, default=1), "--c-grid")
     data = _load_data(args)
@@ -366,10 +380,8 @@ def cmd_bench_sizes(args, parser) -> int:
 
 
 def cmd_bench_clusters(args, parser) -> int:
-    m_values = _parse_list(args.m_list, int, "--m-list", parser)
+    m_values = _parse_list(args.m_list, _at_least(1, "m"), "--m-list", parser)
     gamma = _resolve_gamma(args.gamma, args.cost, parser, max(m_values))
-    if any(m < 1 for m in m_values):
-        parser.error("m must be >= 1")
     _check_kernel_flags(parser, args.kernel, (args.delta,), args.cro_gamma)
     data = _load_data(args)
     config = CVConfig(
@@ -399,8 +411,6 @@ def cmd_bench_clusters(args, parser) -> int:
 
 
 def cmd_granulate(args, parser) -> int:
-    if args.clusters < 1:
-        parser.error("m must be >= 1")
     data = _load_data(args)
     scaled, _ = minmax_scale(data)
     granulation = kmeans_granulate(scaled, args.clusters, args.seed, restarts=args.restarts)

@@ -12,7 +12,8 @@ update are repaired by stealing the point farthest from the empty
 cluster's current centroid.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,51 +33,47 @@ PRUNE_FLOOR = 1e-300
 class Granulation:
     """Result of clustering: a full partition of the training rows.
 
-    granule_members holds one ascending index list per granule; they are
-    pairwise disjoint and jointly cover every row, and no granule is
-    empty. clustering_error is the sum of squared distances of each row
-    to its assigned centroid.
+    Granule k is order[ends[k-1]:ends[k]] (from 0 for k = 0): `order`, the
+    stable argsort of the assignments, lists the rows granule by granule
+    and ascending within each, and `ends` holds the cumulative granule
+    sizes. No granule is empty. clustering_error is the sum of squared
+    distances of each row to its assigned centroid.
     """
 
     assignments: np.ndarray
     centroids: np.ndarray
-    granule_members: tuple
     clustering_error: float
     iterations_run: int
     seed: int
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assignments = np.asarray(self.assignments, dtype=np.int64)
         centroids = np.asarray(self.centroids, dtype=np.float64)
-        members = tuple(np.asarray(g, dtype=np.int64) for g in self.granule_members)
         m = centroids.shape[0]
-        if m < 1 or len(members) != m:
-            raise DataError(
-                f"need one granule_members list per centroid and at least one centroid, "
-                f"got {len(members)} lists and {m} centroids"
-            )
+        if m < 1:
+            raise DataError("need at least one centroid")
         if np.any(assignments < 0) or np.any(assignments >= m):
             raise DataError(f"assignments must lie in [0, {m})")
         counts = np.bincount(assignments, minlength=m)
         if np.any(counts == 0):
             raise DataError("every granule must be nonempty")
-        # the stable argsort lists each granule's rows in ascending order
-        if [g.shape for g in members] != [(c,) for c in counts.tolist()] or not np.array_equal(
-            np.concatenate(members), np.argsort(assignments, kind="stable")
-        ):
-            raise DataError(
-                "granule_members must list, in ascending order, exactly the rows "
-                "assigned to each granule"
-            )
         object.__setattr__(self, "assignments", assignments)
         object.__setattr__(self, "centroids", centroids)
-        object.__setattr__(self, "granule_members", members)
-        for arr in (self.assignments, self.centroids, *self.granule_members):
+        object.__setattr__(self, "order", np.argsort(assignments, kind="stable"))
+        object.__setattr__(self, "ends", np.cumsum(counts))
+        for arr in (self.assignments, self.centroids, self.order, self.ends):
             arr.flags.writeable = False
 
     @property
     def m(self) -> int:
         return self.centroids.shape[0]
+
+    @cached_property
+    def granule_members(self) -> tuple:
+        """One ascending, read-only index array per granule: views of `order`."""
+        return tuple(np.split(self.order, self.ends[:-1]))
 
 
 def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -220,16 +217,7 @@ def kmeans_granulate(
         if best[2] == 0.0:
             break
     assignments, centroids, error, iterations = best
-    order = np.argsort(assignments, kind="stable")
-    bounds = np.cumsum(np.bincount(assignments, minlength=m))[:-1]
-    return Granulation(
-        assignments=assignments,
-        centroids=centroids,
-        granule_members=tuple(np.split(order, bounds)),
-        clustering_error=error,
-        iterations_run=iterations,
-        seed=seed,
-    )
+    return Granulation(assignments, centroids, error, iterations, seed)
 
 
 def assign_to_granules(points: np.ndarray, granulation: Granulation) -> np.ndarray:

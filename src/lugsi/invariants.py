@@ -63,7 +63,6 @@ class MeasureSpec:
 class GranuleInvariant:
     """One granule's v vector and its invariant target v^T Y_k."""
 
-    granule_index: int
     v: np.ndarray
     target: float
 
@@ -125,9 +124,9 @@ def _granule_invariants(
     values = np.ones(data.l) if measure is None else _v_values(data.features, measure)
     labels = data.labels.astype(np.float64)
     out = []
-    for k, members in enumerate(granulation.granule_members):
+    for members in granulation.granule_members:
         v = weight(values[members])
-        out.append(GranuleInvariant(k, v, float(v @ labels[members])))
+        out.append(GranuleInvariant(v, float(v @ labels[members])))
     return out
 
 

@@ -143,7 +143,9 @@ def gram_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     elif spec.kind == RBF:
         # in place; bitwise equal to exp(-d2 / (2 delta^2))
         gram = squared_distances(rows, cols)
-        np.divide(gram, -2.0 * spec.delta * spec.delta, out=gram)
+        # a subnormal 2 delta^2 overflows quotients to -inf: exp gives the 0.0 of any < -745.2
+        with np.errstate(over="ignore"):
+            np.divide(gram, -2.0 * spec.delta * spec.delta, out=gram)
         np.exp(gram, out=gram)
     else:
         gram = _cro_from_cosine(

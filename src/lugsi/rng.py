@@ -9,7 +9,11 @@ the same numpy generation.
 
 import numpy as np
 
+from .errors import DataError
+
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Return a PCG64-backed generator for the given integer seed."""
+    """Return a PCG64-backed generator for the given integer seed (>= 0)."""
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))

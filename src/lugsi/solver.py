@@ -267,23 +267,32 @@ def _row_blocks(rows: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _kernel_rows(data, granulation, invariants, kernel) -> np.ndarray:
-    """P with rows q_k = K_k^T v_k, from Gram blocks of `_row_blocks` rows.
+def _design_rows(data, granulation, invariants, kernel) -> np.ndarray:
+    """P, whose row k is design_k^T v_k, from one walk over the rows in granule order.
 
-    Walks the training rows in granule order, so each block adds the
-    segments of the granules it covers and no l x l Gram is built.
+    Granule k is order[ends[k-1]:ends[k]] (from 0 for k = 0); the joined v
+    vectors line up with `order`. A linear fit takes the feature rows in
+    granule order as one block, a kernel fit Gram blocks of `_row_blocks`
+    rows against all training rows (no l x l Gram). Each block adds the
+    segments of the granules it covers, advancing k past each end.
     """
-    order = np.concatenate(granulation.granule_members)
+    m, X, linear = granulation.m, data.features, kernel is None
+    blocks = [slice(0, data.l)] if linear else _row_blocks(data.l)
+    if not linear:
+        # P and a Gram block are the largest arrays; the min(m, l) square system is no larger
+        largest = max(m, *(rows.stop - rows.start for rows in blocks))
+        check_array_entries("kernel P or Gram block", largest, data.l)
+    order, ends = granulation.order, granulation.ends.tolist()
     weights = np.concatenate([inv.v for inv in invariants])
-    ends = np.cumsum([members.size for members in granulation.granule_members])
-    X = data.features
-    P = np.zeros((granulation.m, data.l), dtype=np.float64)
-    for rows in _row_blocks(order.size):
-        block = gram_block(kernel, X[order[rows]], X)
+    P = np.zeros((m, data.n if linear else data.l), dtype=np.float64)
+    k = 0
+    for rows in blocks:
+        block = X[order[rows]] if linear else gram_block(kernel, X[order[rows]], X)
         lo = rows.start
         while lo < rows.stop:
-            k = int(np.searchsorted(ends, lo, side="right"))
-            hi = min(int(ends[k]), rows.stop)
+            while ends[k] <= lo:
+                k += 1
+            hi = min(ends[k], rows.stop)
             P[k] += weights[lo:hi] @ block[lo - rows.start:hi - rows.start]
             lo = hi
         del block  # free it before the next block is built
@@ -300,31 +309,17 @@ def _granulated_fit(
 ):
     """Rank-one fit with one invariant per granule, in granule-index order.
 
-    Accumulates row k of P as design_k^T v_k, s_k = sum(v_k) and
-    t_k = v_k^T Y_k.
+    Accumulates row k of P as design_k^T v_k (`_design_rows`),
+    s_k = sum(v_k) and t_k = v_k^T Y_k.
     """
     if granulation.assignments.shape[0] != data.l:
         raise DataError("granulation does not match the dataset")
-    if len(invariants) != granulation.m:
-        raise DataError("one GranuleInvariant per granule required")
-    for k, inv in enumerate(invariants):
-        if inv.granule_index != k:
-            raise DataError(f"invariant {k} carries granule_index {inv.granule_index}")
-        if inv.v.shape[0] != granulation.granule_members[k].size:
-            raise DataError(f"invariant {k} length does not match its granule")
-    m = granulation.m
+    if [inv.v.size for inv in invariants] != np.diff(granulation.ends, prepend=0).tolist():
+        raise DataError("need one GranuleInvariant per granule, as long as the granule")
     s = np.array([inv.v.sum() for inv in invariants], dtype=np.float64)
     t = np.array([inv.target for inv in invariants], dtype=np.float64)
-    if kernel is None:
-        P = np.empty((m, data.n), dtype=np.float64)
-        for k, members in enumerate(granulation.granule_members):
-            P[k] = invariants[k].v @ data.features[members]
-    else:
-        # P and a Gram block are the largest arrays; the min(m, l) square system is no larger
-        block = max(rows.stop - rows.start for rows in _row_blocks(data.l))
-        check_array_entries("kernel P or Gram block", max(m, block), data.l)
-        P = _kernel_rows(data, granulation, invariants, kernel)
-    return _rank_one_fit(data, kernel, P, s, t, gamma, m, granulation.seed, scaling)
+    P = _design_rows(data, granulation, invariants, kernel)
+    return _rank_one_fit(data, kernel, P, s, t, gamma, granulation.m, granulation.seed, scaling)
 
 
 def fit_linear_lugsi(

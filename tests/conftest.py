@@ -29,7 +29,6 @@ def singleton_granulation(data, seed=0):
     return Granulation(
         assignments=np.arange(l),
         centroids=data.features.copy(),
-        granule_members=tuple(np.array([i]) for i in range(l)),
         clustering_error=0.0,
         iterations_run=1,
         seed=seed,

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, exit codes, and file determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,14 +14,16 @@ import pytest
 from lugsi import (
     CVConfig,
     Dataset,
+    KernelSpec,
     apply_scaling,
     decision_values,
+    gram_block,
     load_csv,
     load_model,
     predict_labels,
     save_model,
 )
-from lugsi import errors
+from lugsi import cli, errors
 from lugsi.cli import main
 from lugsi.evaluation import train_fold_pipeline
 
@@ -27,16 +31,22 @@ from lugsi.evaluation import train_fold_pipeline
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args):
+    """`lugsi` run in process: its exit code, stdout and stderr as a CompletedProcess."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args):
+    """A fresh interpreter run with `src` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "lugsi.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def _rewrite(change):
@@ -155,6 +165,19 @@ class TestTrain:
             "900 entries are above the cap of 300"
         ) in capsys.readouterr().err
         assert not model.exists()
+
+    def test_subnormal_rbf_width_fits(self, tmp_path, train_csv):
+        # 2 delta^2 = 2e-320 is subnormal: every nonzero squared distance
+        # overflows the quotient to -inf, and exp gives the 0.0 it should
+        spec = KernelSpec("rbf", delta=1e-160)
+        points = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.25], [0.5, 0.0]])
+        equal = (points[:, None, :] == points[None, :, :]).all(axis=2)
+        np.testing.assert_array_equal(gram_block(spec, points, points), equal.astype(float))
+        code = main([
+            "train", "--data", str(train_csv), "--kernel", "rbf", "--delta", "1e-160",
+            "--clusters", "3", "--model-out", str(tmp_path / "m.json"),
+        ])
+        assert code == 0
 
     def test_cost_maps_to_inverse_gamma(self, tmp_path, train_csv):
         out_cost = tmp_path / "cost.json"
@@ -390,6 +413,44 @@ class TestFlagsBeforeReads:
         assert result.returncode == 2, result.stderr
         assert message in result.stderr
 
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [(command, "--seed", "-1", "--seed must be >= 0")
+         for command in ("train", "cv", "granulate", "bench_sizes", "bench_clusters")]
+        + [(command, "--restarts", "0", "--restarts must be >= 1")
+           for command in ("train", "cv", "granulate", "bench_sizes", "bench_clusters")]
+        + [(command, "--folds", "1", "--folds must be >= 2")
+           for command in ("cv", "bench_clusters")]
+        + [
+            ("cv", "--m-grid", "0", "m must be >= 1"),
+            ("bench_sizes", "--clusters", "0", "m must be >= 1"),
+            ("bench_sizes", "--features", "0", "--features must be >= 1"),
+        ],
+    )
+    def test_integer_below_its_minimum_is_usage_error(
+        self, tmp_path, monkeypatch, command, flag, value, message
+    ):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data read or generated before the flags were checked")
+
+        monkeypatch.setattr(cli, "_load_data", no_data)
+        monkeypatch.setattr(cli, "benchmark_scaling", no_data)
+        data = ["--data", str(tmp_path / "absent.csv")]
+        args = {
+            "train": ["train", "--model-out", str(tmp_path / "o.json"), *data],
+            "cv": ["cv", "--report-out", str(tmp_path / "o.json"),
+                   "--csv-out", str(tmp_path / "o.csv"), *data],
+            "granulate": ["granulate", "--clusters", "2", "--out", str(tmp_path / "o.csv"), *data],
+            "bench_sizes": ["bench", "sizes", "--sizes", "200", "--out", str(tmp_path / "o.csv")],
+            "bench_clusters": ["bench", "clusters", "--m-list", "2",
+                               "--out", str(tmp_path / "o.csv"), *data],
+        }[command]
+        result = run_cli(*args, flag, value)
+        assert result.returncode == 2, result.stderr
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not any(tmp_path.glob("o.*"))
+
     @pytest.mark.parametrize("command", ["train", "bench_clusters", "cv"])
     def test_cost_with_infinite_inverse_is_usage_error(self, tmp_path, train_csv, command):
         # 1/cost overflows to inf for a subnormal cost, whatever the m grid
@@ -525,3 +586,22 @@ def test_csv_layouts(tmp_path, train_csv):
             assert float(lines[-2].removeprefix("# clustering_error=")) >= 0.0
         else:
             assert trailer == [], name
+
+
+def test_module_entry_point_runs_the_cli(tmp_path, train_csv):
+    out = tmp_path / "granules.csv"
+    result = run_process(
+        "-m", "lugsi.cli", "granulate", "--data", str(train_csv), "--clusters", "2",
+        "--out", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    assert out.read_text().splitlines()[1] == "sample_index,granule_index"
+    result = run_process("-m", "lugsi.cli", "train", "--seed", "-1")
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+
+
+def test_importing_the_package_does_not_load_the_cli():
+    result = run_process("-c", "import sys, lugsi; print('lugsi.cli' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

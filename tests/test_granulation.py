@@ -10,6 +10,7 @@ from oracles import best_two_partition_error, reference_kmeans
 
 from lugsi import DataError, Dataset, assign_to_granules, generate_ndc, kmeans_granulate
 from lugsi.granulation import Granulation
+from lugsi.rng import make_rng
 
 
 def make_dataset(seed, l=40, n=3):
@@ -219,39 +220,49 @@ class TestAssignToGranules:
 
 
 class TestGranulationValidation:
-    def build(self, assignments, members, m=2):
+    def build(self, assignments, m=2):
         return Granulation(
             assignments=np.array(assignments, dtype=np.int64),
             centroids=np.zeros((m, 2)),
-            granule_members=tuple(np.array(g) for g in members),
             clustering_error=0.0,
             iterations_run=1,
             seed=0,
         )
 
     def test_consistent_partition_is_accepted(self):
-        g = self.build([1, 0, 1], [[1], [0, 2]])
+        g = self.build([1, 0, 1])
         assert g.m == 2
         np.testing.assert_array_equal(g.granule_members[1], [0, 2])
-
-    @pytest.mark.parametrize(
-        "members",
-        [
-            [[0, 0], [2]],  # row 0 repeated, row 1 omitted
-            [[1, 0], [2]],  # members not ascending
-            [[0], [1, 2]],  # sizes disagree with the assignments
-            [[[0], [1]], [2]],  # a member list that is not a vector
-        ],
-    )
-    def test_members_must_list_exactly_the_assigned_rows(self, members):
-        with pytest.raises(DataError, match="exactly the rows assigned"):
-            self.build([0, 0, 1], members)
 
     @pytest.mark.parametrize("assignments", [[0, -1, 1], [0, 2, 1]])
     def test_assignment_out_of_range(self, assignments):
         with pytest.raises(DataError, match=r"assignments must lie in \[0, 2\)"):
-            self.build(assignments, [[0], [1, 2]])
+            self.build(assignments)
 
     def test_no_granules(self):
         with pytest.raises(DataError, match="at least one centroid"):
-            self.build([], [], m=0)
+            self.build([], m=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_layout_is_derived_from_the_assignments(self, seed):
+        gen = np.random.default_rng(seed)
+        X = gen.random((int(gen.integers(2, 40)), 3))
+        doubled = np.vstack([X, X])[gen.permutation(2 * len(X))]
+        # m = 1, m = l, and duplicate rows
+        cases = [(X, 1), (X, len(X)), (doubled, int(gen.integers(1, len(X) + 1)))]
+        for features, m in cases:
+            data = Dataset(features, np.arange(len(features)) % 2)
+            g = kmeans_granulate(data, m, seed=seed, restarts=2)
+            for k, members in enumerate(g.granule_members):
+                assert np.all(np.diff(members) > 0)
+                np.testing.assert_array_equal(members, np.flatnonzero(g.assignments == k))
+                assert not members.flags.writeable
+            np.testing.assert_array_equal(g.order, np.argsort(g.assignments, kind="stable"))
+            np.testing.assert_array_equal(g.ends, np.cumsum(np.bincount(g.assignments)))
+
+
+def test_negative_seed_is_a_data_error():
+    with pytest.raises(DataError, match="seed must be >= 0"):
+        make_rng(-1)
+    with pytest.raises(DataError, match="seed must be >= 0"):
+        kmeans_granulate(make_dataset(9, l=10), 2, seed=-1)

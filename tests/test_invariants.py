@@ -147,7 +147,6 @@ class TestNormalizedGranuleInvariants:
         g = Granulation(
             assignments=np.array([0, 0, 1, 1]),
             centroids=np.array([[1.0, 0.45], [0.25, 0.4]]),
-            granule_members=(np.array([0, 1]), np.array([2, 3])),
             clustering_error=0.0,
             iterations_run=1,
             seed=0,

@@ -21,6 +21,7 @@ from oracles import (
 from lugsi import (
     DataError,
     Dataset,
+    GranuleInvariant,
     KernelSpec,
     MeasureSpec,
     NumericError,
@@ -178,6 +179,20 @@ class TestFitLinear:
         data, g, invs, _, _ = fitted_linear(15)
         with pytest.raises(DataError):
             fit_linear_lugsi(data, g, invs[:-1], gamma=0.1)
+
+    @pytest.mark.parametrize("case", ["other_dataset", "one_invariant_too_few", "wrong_length"])
+    def test_invariants_must_fit_the_granulation(self, case):
+        data, g, invs, _, _ = fitted_linear(19)
+        message = "need one GranuleInvariant per granule"
+        if case == "other_dataset":
+            data = random_binary_dataset(np.random.default_rng(20), data.l + 1, data.n)
+            message = "granulation does not match the dataset"
+        elif case == "one_invariant_too_few":
+            invs = invs[:-1]
+        else:
+            invs = [GranuleInvariant(np.append(invs[0].v, 0.5), invs[0].target), *invs[1:]]
+        with pytest.raises(DataError, match=message):
+            fit_linear_lugsi(data, g, invs, gamma=0.1)
 
     def test_deterministic_serialized_bytes(self):
         first = fitted_linear(17)[3]
