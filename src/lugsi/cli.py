@@ -30,6 +30,7 @@ from . import __version__
 from .dataset import Dataset, apply_scaling, load_csv, load_sparse, minmax_scale
 from .errors import DataError, NumericError
 from .evaluation import (
+    SCALING_DATA_CLUSTERS,
     CVConfig,
     GridSpec,
     benchmark_scaling,
@@ -100,13 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
         "each granule's v-values are normalized to maximum 1, as in cv",
     )
     p_train.add_argument("--model-out", required=True, type=_output_path)
-    p_train.set_defaults(handler=cmd_train)
+    p_train.set_defaults(handler=cmd_train, parser=p_train)
 
     p_pred = sub.add_parser("predict", help="apply a stored model to data")
     _add_data_flags(p_pred)
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--out", required=True, type=_output_path)
-    p_pred.set_defaults(handler=cmd_predict)
+    p_pred.set_defaults(handler=cmd_predict, parser=p_pred)
 
     p_cv = sub.add_parser("cv", help="cross-validated grid search")
     _add_data_flags(p_cv)
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--timing", choices=("wall", "zero"), default="wall")
     p_cv.add_argument("--report-out", required=True, type=_output_path)
     p_cv.add_argument("--csv-out", required=True, type=_output_path)
-    p_cv.set_defaults(handler=cmd_cv)
+    p_cv.set_defaults(handler=cmd_cv, parser=p_cv)
 
     p_bench = sub.add_parser("bench", help="timing and accuracy sweeps")
     bench_sub = p_bench.add_subparsers(dest="sweep", required=True)
@@ -138,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sizes.add_argument("--no-v-matrix", action="store_true", help="skip the contrast column")
     p_sizes.add_argument("--timing", choices=("wall", "zero"), default="wall")
     p_sizes.add_argument("--out", required=True, type=_output_path)
-    p_sizes.set_defaults(handler=cmd_bench_sizes)
+    p_sizes.set_defaults(handler=cmd_bench_sizes, parser=p_sizes)
 
     p_mlist = bench_sub.add_parser("clusters", help="accuracy/time sweep over granule counts")
     _add_data_flags(p_mlist)
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mlist.add_argument("--restarts", type=restarts, default=10)
     p_mlist.add_argument("--timing", choices=("wall", "zero"), default="wall")
     p_mlist.add_argument("--out", required=True, type=_output_path)
-    p_mlist.set_defaults(handler=cmd_bench_clusters)
+    p_mlist.set_defaults(handler=cmd_bench_clusters, parser=p_mlist)
 
     p_gran = sub.add_parser("granulate", help="cluster the data and emit assignments")
     _add_data_flags(p_gran)
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gran.add_argument("--restarts", type=restarts, default=10)
     p_gran.add_argument("--emit-v", action="store_true", help="include uniform-measure v-values")
     p_gran.add_argument("--out", required=True, type=_output_path)
-    p_gran.set_defaults(handler=cmd_granulate)
+    p_gran.set_defaults(handler=cmd_granulate, parser=p_gran)
 
     return parser
 
@@ -341,7 +342,11 @@ def cmd_cv(args, parser) -> int:
 
 
 def cmd_bench_sizes(args, parser) -> int:
-    sizes = _parse_list(args.sizes, int, "--sizes", parser)
+    # every blob of the synthetic data needs a sample
+    size = _at_least(SCALING_DATA_CLUSTERS, "--sizes")
+    sizes = _parse_list(args.sizes, size, "--sizes", parser)
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        parser.error("--sizes must be strictly ascending")
     gamma = _resolve_gamma(args.gamma, None, parser, args.clusters)
     rows = benchmark_scaling(
         sizes,
@@ -433,10 +438,9 @@ def cmd_granulate(args, parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args, parser)
+        return args.handler(args, args.parser)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -36,7 +36,7 @@ from .solver import fit_kernel_lugsi, fit_linear_lugsi, predict_labels
 
 SMALL_DATASET_LIMIT = 800
 # blobs in the synthetic data of benchmark_scaling
-_SCALING_DATA_CLUSTERS = 10
+SCALING_DATA_CLUSTERS = 10
 # benchmark_scaling times the V-matrix up to this l, and the median of this many fits
 SCALING_V_MATRIX_LIMIT = 5000
 SCALING_FIT_REPEATS = 5
@@ -427,7 +427,7 @@ def benchmark_scaling(
     rows = []
     measure = MeasureSpec.uniform()
     for l in sizes:
-        raw = generate_ndc(l, features, _SCALING_DATA_CLUSTERS, seed)
+        raw = generate_ndc(l, features, SCALING_DATA_CLUSTERS, seed)
         holdout = max(1, l // 5)
         train = raw.subset(np.arange(l - holdout))
         test = raw.subset(np.arange(l - holdout, l))

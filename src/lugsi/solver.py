@@ -17,12 +17,16 @@ identity (P^T P + gI)^-1 P^T = P^T (P P^T + gI)^-1, so a kernel fit costs
 O(m*l) memory: its P is accumulated from Gram blocks of about
 `ROW_BLOCK` training rows, and kernel scoring is blocked the same way.
 
-The full V-matrix is never materialized here; `fit_vsvm` keeps the dense
-reference construction (W = V, m = 1) for cross-checks, and `fit_lssvm`
-is the identity-weighted degenerate mode (singleton granules, unit
-predicates, so its effective regularizer is gamma * l). Both build the
-whole design. All four modes share one closed-form bias recovery, model
-and diagnostics path.
+All four modes solve these normal equations in one core, `_closed_form`,
+which takes a design D, a bias column, targets and an optional weight
+matrix W (None for the identity). The granulated linear and kernel fits
+pass (P, s, t), since sum_k v_k v_k^T weighting of the full design is
+the identity weighting of P. `fit_lssvm` is the identity-weighted
+degenerate mode (singleton granules, unit predicates): it passes
+(D, 1, Y) with m = l, so its effective regularizer is gamma * l.
+`fit_vsvm` keeps the dense reference construction for cross-checks: it
+passes (D, 1, Y) with W = V and m = 1. Both build the whole design; the
+full V-matrix is never materialized for a granulated fit.
 
 A fit refuses to start when its largest array would hold more than
 `errors.MAX_ARRAY_ENTRIES` entries: max(m, Gram block rows) x l for a granulated
@@ -172,32 +176,39 @@ def _design(data: Dataset, kernel: KernelSpec | None) -> np.ndarray:
     return gram_block(kernel, data.features, data.features)
 
 
-def _shifted_solve(M: np.ndarray, shift: float, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """`_factor_solve` of M + shift*I; the shift is added to M in place."""
-    if not shift > 0.0:
-        raise DataError("gamma must be positive")
-    if not shift < math.inf:
-        raise DataError(f"gamma*m overflows: the regularization shift {shift!r} is not finite")
-    M[np.diag_indices(M.shape[0])] += shift
-    return _factor_solve(M, rhs)
-
-
 def _closed_form(
-    data, kernel, gamma, m, seed, scaling,
-    half, cond, system_product, DWy, DW1, oWy, oW1, oWD, residual_energy,
+    data, kernel, gamma, m, seed, scaling, D, one, y, W=None,
 ) -> tuple[LinearModel | KernelModel, FitDiagnostics]:
-    """The bias, model and diagnostics shared by every fit mode.
+    """The one solve, bias recovery, model and diagnostics of every fit mode.
 
-    Minimizes r^T W r + gamma*m*||p||^2 with r = D p + bias - y. `half`
-    holds the two half-solutions [p_b, p_c] of M [p_b, p_c] = [D^T W y,
-    D^T W 1] with M = D^T W D + gamma*m*I, `cond` the condition hint of the
-    factored system and `system_product(p)` the product M p. The other
-    inputs are D^T W y, D^T W 1, 1^T W y, 1^T W 1 and 1^T W D. The bias
-    comes from its stationarity equation, and a near-zero bias denominator
-    falls back to b = 0 with the diagnostics flag set. Then p = p_b - b*p_c.
-    `residual_energy(p, b)` returns r^T W r for the objective.
+    Minimizes r^T W r + gamma*m*||p||^2 over p and the bias b, where
+    r = D p + b*one - y and W = None stands for the identity. The two
+    half-solutions [p_b, p_c] solve M [p_b, p_c] = [D^T W y, D^T W one]
+    with M = D^T W D + gamma*m*I. With W = None and fewer rows than columns
+    in D, the smaller system D D^T + gamma*m*I is factored instead and
+    [p_b, p_c] = D^T z. The bias comes from its stationarity equation, and
+    a near-zero bias denominator falls back to b = 0 with the diagnostics
+    flag set. Then p = p_b - b*p_c.
     """
     gamma_eff = gamma * m
+    if not gamma_eff > 0.0:
+        raise DataError("gamma must be positive")
+    if not gamma_eff < math.inf:
+        raise DataError(f"gamma*m overflows: the regularization shift {gamma_eff!r} is not finite")
+    if W is None:
+        DWy, DW1, oWy, oW1, oWD = D.T @ y, D.T @ one, one @ y, one @ one, one @ D
+    else:
+        oW = one @ W
+        DWy, DW1, oWy, oW1, oWD = D.T @ (W @ y), D.T @ (W @ one), oW @ y, oW @ one, oW @ D
+    dual = W is None and D.shape[0] < D.shape[1]
+    if dual:
+        M, rhs = D @ D.T, np.column_stack([y, one])
+    else:
+        M = D.T @ D if W is None else D.T @ (W @ D)
+        rhs = np.column_stack([DWy, DW1])
+    M[np.diag_indices(M.shape[0])] += gamma_eff
+    z, cond = _factor_solve(M, rhs)
+    half = D.T @ z if dual else z
     p_b, p_c = half[:, 0], half[:, 1]
     numerator = float(oWy - oWD @ p_b)
     denominator = float(oW1 - oWD @ p_c)
@@ -205,9 +216,10 @@ def _closed_form(
     bias = 0.0 if fallback else numerator / denominator
     params = p_b - bias * p_c
     # half the gradient of the objective in (p, b), from the normal equations
-    grad = np.append(
-        system_product(params) + bias * DW1 - DWy, oWD @ params + bias * oW1 - oWy
-    )
+    system_product = D.T @ (D @ params) + gamma_eff * params if dual else M @ params
+    grad = np.append(system_product + bias * DW1 - DWy, oWD @ params + bias * oW1 - oWy)
+    resid = D @ params + bias * one - y
+    residual_energy = resid @ resid if W is None else resid @ (W @ resid)
     if scaling is None:
         scaling = ScalingParams(np.zeros(data.n), np.ones(data.n))
     cls, fields = _KINDS["linear" if kernel is None else "kernel"]
@@ -215,41 +227,12 @@ def _closed_form(
     spec = {} if kernel is None else {"kernel": kernel}
     model = cls(**coefficients, **spec, gamma=gamma, m=m, seed=seed, scaling=scaling)
     diagnostics = FitDiagnostics(
-        objective_value=float(residual_energy(params, bias) + gamma_eff * (params @ params)),
+        objective_value=float(residual_energy + gamma_eff * (params @ params)),
         gradient_norm=2.0 * float(np.linalg.norm(grad)),
         system_condition_hint=cond,
         bias_fallback=fallback,
     )
     return model, diagnostics
-
-
-def _rank_one_fit(data, kernel, P, s, t, gamma, m, seed, scaling):
-    """`_closed_form` for W = sum_k v_k v_k^T, from the accumulations (P, s, t).
-
-    Factors the smaller of P P^T + gamma*m*I (m x m, when P has fewer rows
-    than columns; then [p_b, p_c] = P^T z) and P^T P + gamma*m*I.
-    """
-    gamma_eff = gamma * m
-    DWy, DW1 = P.T @ t, P.T @ s
-    if P.shape[0] < P.shape[1]:
-        z, cond = _shifted_solve(P @ P.T, gamma_eff, np.column_stack([t, s]))
-        half = P.T @ z
-
-        def system_product(p):
-            return P.T @ (P @ p) + gamma_eff * p
-    else:
-        M = P.T @ P
-        half, cond = _shifted_solve(M, gamma_eff, np.column_stack([DWy, DW1]))
-        system_product = M.__matmul__
-
-    def residual_energy(p, bias):
-        resid = P @ p + bias * s - t
-        return resid @ resid
-
-    return _closed_form(
-        data, kernel, gamma, m, seed, scaling,
-        half, cond, system_product, DWy, DW1, s @ t, s @ s, s @ P, residual_energy,
-    )
 
 
 def _row_blocks(rows: int) -> list[slice]:
@@ -319,7 +302,7 @@ def _granulated_fit(
     s = np.array([inv.v.sum() for inv in invariants], dtype=np.float64)
     t = np.array([inv.target for inv in invariants], dtype=np.float64)
     P = _design_rows(data, granulation, invariants, kernel)
-    return _rank_one_fit(data, kernel, P, s, t, gamma, granulation.m, granulation.seed, scaling)
+    return _closed_form(data, kernel, gamma, granulation.m, granulation.seed, scaling, P, s, t)
 
 
 def fit_linear_lugsi(
@@ -368,16 +351,15 @@ def fit_lssvm(
 ) -> tuple[LinearModel | KernelModel, FitDiagnostics]:
     """Identity-weighted least-squares fit (unit predicates, singleton granules).
 
-    Equivalent by construction to the granulated fit with m = l and every
-    v entry forced to 1, so the effective regularizer is gamma * l; it is
-    computed directly from the design matrix for speed. A kernel spec
-    switches to the kernel parameterization.
+    Minimizes ||D p + b - Y||^2 + gamma * l * ||p||^2: the granulated fit
+    with m = l and every v entry forced to 1, so P is the design D itself
+    (the features, or the l x l training Gram for a kernel spec) and
+    `_closed_form` gets (D, 1, Y) with W = None (the identity) and m = l.
     """
     design = _design(data, kernel)
-    # singleton granules with unit predicates: P rows are the design rows
-    return _rank_one_fit(
-        data, kernel, design, np.ones(data.l), data.labels.astype(np.float64),
-        gamma, data.l, seed, scaling,
+    return _closed_form(
+        data, kernel, gamma, data.l, seed, scaling,
+        design, np.ones(data.l), data.labels.astype(np.float64),
     )
 
 
@@ -391,8 +373,10 @@ def fit_vsvm(
 ) -> tuple[LinearModel | KernelModel, FitDiagnostics]:
     """Dense reference fit weighting residuals by a full V-matrix.
 
-    Minimizes (F - Y)^T V (F - Y) + gamma * ||params||^2 with no rank-one
-    shortcut (m = 1); kept for equivalence cross-checks and small problems.
+    Minimizes (D p + b - Y)^T V (D p + b - Y) + gamma * ||p||^2 with no
+    rank-one shortcut: `_closed_form` gets (D, 1, Y) with W = V and m = 1.
+    V must be a symmetric positive semidefinite l x l matrix. Kept for
+    equivalence cross-checks and small problems.
     """
     check_array_entries("V-matrix fit system", data.l, data.l)
     V = np.asarray(V, dtype=np.float64)
@@ -407,20 +391,9 @@ def fit_vsvm(
             raise DataError(f"V is not positive semidefinite (eigenvalue {smallest:.3e})")
 
     design = _design(data, kernel)
-    labels = data.labels.astype(np.float64)
-    ones = np.ones(data.l)
-    oV = ones @ V
-    M = design.T @ (V @ design)
-    DWy, DW1 = design.T @ (V @ labels), design.T @ (V @ ones)
-    half, cond = _shifted_solve(M, gamma, np.column_stack([DWy, DW1]))
-
-    def residual_energy(p, bias):
-        resid = design @ p + bias - labels
-        return resid @ (V @ resid)
-
     return _closed_form(
-        data, kernel, gamma, 1, seed, scaling, half, cond, M.__matmul__,
-        DWy, DW1, oV @ labels, oV @ ones, oV @ design, residual_energy,
+        data, kernel, gamma, 1, seed, scaling,
+        design, np.ones(data.l), data.labels.astype(np.float64), V,
     )
 
 

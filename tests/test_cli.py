@@ -402,8 +402,9 @@ class TestFlagsBeforeReads:
         "args, message",
         [
             (["cv", "--c-grid", "1,x", "--report-out", "{tmp}/r.json", "--csv-out", "{tmp}/r.csv"],
-             "--c-grid expects comma-separated numbers"),
-            (["bench", "clusters", "--m-list", "0", "--out", "{tmp}/c.csv"], "m must be >= 1"),
+             "lugsi cv: error: --c-grid expects comma-separated numbers"),
+            (["bench", "clusters", "--m-list", "0", "--out", "{tmp}/c.csv"],
+             "lugsi bench clusters: error: m must be >= 1"),
         ],
         ids=["cv_c_grid", "bench_clusters_m_list"],
     )
@@ -425,6 +426,9 @@ class TestFlagsBeforeReads:
             ("cv", "--m-grid", "0", "m must be >= 1"),
             ("bench_sizes", "--clusters", "0", "m must be >= 1"),
             ("bench_sizes", "--features", "0", "--features must be >= 1"),
+            ("bench_sizes", "--sizes", "0", "--sizes must be >= 10"),
+            ("bench_sizes", "--sizes", "5", "--sizes must be >= 10"),
+            ("bench_sizes", "--sizes", "400,200", "--sizes must be strictly ascending"),
         ],
     )
     def test_integer_below_its_minimum_is_usage_error(

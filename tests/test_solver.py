@@ -1,5 +1,6 @@
 """Closed-form solver contracts, degenerate modes, and oracle cross-checks."""
 
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,7 @@ from lugsi import (
     gram_block,
     kmeans_granulate,
     load_model,
+    normalized_granule_invariants,
     predict_label,
     predict_labels,
     save_model,
@@ -53,6 +55,20 @@ def fitted_linear(seed, l=14, n=3, m=3, gamma=0.3):
     invs = granule_v_vectors(data, g, MeasureSpec.uniform())
     model, diag = fit_linear_lugsi(data, g, invs, gamma)
     return data, g, invs, model, diag
+
+
+def every_fit_mode(data, g, invs):
+    """The six fits as functions of gamma: granulated linear and rbf, LSSVM
+    linear and rbf, and VSVM linear and rbf with V = I."""
+    spec, V = KernelSpec(kind="rbf"), np.eye(data.l)
+    return [
+        lambda gamma: fit_linear_lugsi(data, g, invs, gamma),
+        lambda gamma: fit_kernel_lugsi(data, g, invs, spec, gamma),
+        lambda gamma: fit_lssvm(data, gamma),
+        lambda gamma: fit_lssvm(data, gamma, kernel=spec),
+        lambda gamma: fit_vsvm(data, V, gamma),
+        lambda gamma: fit_vsvm(data, V, gamma, kernel=spec),
+    ]
 
 
 class TestSolveSpd:
@@ -164,16 +180,20 @@ class TestFitLinear:
 
     def test_gamma_must_be_positive(self):
         data, g, invs, _, _ = fitted_linear(13)
-        with pytest.raises(DataError, match="gamma"):
-            fit_linear_lugsi(data, g, invs, gamma=0.0)
+        for fit in every_fit_mode(data, g, invs):
+            for gamma in (0.0, -1.0, math.nan):
+                with pytest.raises(DataError, match="gamma must be positive"):
+                    fit(gamma)
 
     def test_overflowing_gamma_m_is_a_data_error(self):
-        # gamma is finite but gamma * m (m = 3) overflows the solve's shift
+        # the solve shifts by gamma * m: m = 3 for the granulated fits, m = l
+        # for LSSVM, so gamma = 1e308 overflows; VSVM has m = 1, so only an
+        # infinite gamma does
         data, g, invs, _, _ = fitted_linear(13)
-        with pytest.raises(DataError, match=r"gamma\*m overflows"):
-            fit_linear_lugsi(data, g, invs, gamma=1e308)
-        with pytest.raises(DataError, match=r"gamma\*m overflows"):
-            fit_kernel_lugsi(data, g, invs, KernelSpec(kind="rbf"), gamma=1e308)
+        fits = every_fit_mode(data, g, invs)
+        for fit, gamma in zip(fits, [1e308] * 4 + [math.inf] * 2):
+            with pytest.raises(DataError, match=r"gamma\*m overflows"):
+                fit(gamma)
 
     def test_misaligned_invariants_rejected(self):
         data, g, invs, _, _ = fitted_linear(15)
@@ -356,6 +376,33 @@ class TestVsvm:
             model, _ = fit_vsvm(data, np.outer(v_full, v_full), gamma)
             np.testing.assert_allclose(model.w, reference.w, rtol=1e-10, atol=1e-12)
             assert model.b == pytest.approx(reference.b, rel=1e-10, abs=1e-12)
+
+    def test_sum_of_granule_invariants_matches_granulated_fits(self):
+        # V = sum_k e_k e_k^T with e_k granule k's v vector scattered to its
+        # rows; VSVM has m = 1, so its gamma is the granulated gamma * m
+        m_below_n = 0
+        for seed in range(20):
+            gen = np.random.default_rng(4500 + seed)
+            data = random_binary_dataset(gen, int(gen.integers(8, 25)), int(gen.integers(1, 6)))
+            gamma = float(gen.uniform(0.01, 2.0))
+            spec = KernelSpec("rbf", delta=float(gen.uniform(0.3, 2.0)))
+            g = kmeans_granulate(data, int(gen.integers(2, 6)), seed=seed)
+            m_below_n += g.m < data.n
+            invs = normalized_granule_invariants(data, g, MeasureSpec.uniform())
+            V = np.zeros((data.l, data.l))
+            for members, inv in zip(g.granule_members, invs):
+                e = np.zeros(data.l)
+                e[members] = inv.v
+                V += np.outer(e, e)
+            linear, _ = fit_linear_lugsi(data, g, invs, gamma)
+            model, _ = fit_vsvm(data, V, gamma * g.m)
+            np.testing.assert_allclose(model.w, linear.w, rtol=1e-10, atol=1e-12)
+            assert model.b == pytest.approx(linear.b, rel=1e-10, abs=1e-12)
+            kernel, _ = fit_kernel_lugsi(data, g, invs, spec, gamma)
+            model, _ = fit_vsvm(data, V, gamma * g.m, kernel=spec)
+            np.testing.assert_allclose(model.A, kernel.A, rtol=1e-10, atol=1e-12)
+            assert model.c == pytest.approx(kernel.c, rel=1e-10, abs=1e-12)
+        assert 0 < m_below_n < 20
 
     def test_all_labels_one(self, rng):
         data = Dataset(rng.random((7, 2)), np.ones(7, dtype=int))
