@@ -2,10 +2,10 @@
 
 Subcommands: train, predict, cv, bench, granulate. Every run is fully
 determined by its flags; all randomness flows from --seed. Output files
-carry a config header for provenance and print numbers at 17 significant
-digits, so reruns with identical flags produce byte-identical files
-(for cv/bench pass --timing zero, which also drops wall time from the
-best-configuration tie-break).
+carry a config header for provenance and spell every float as its
+shortest round-trip repr, so reruns with identical flags produce
+byte-identical files (for cv/bench pass --timing zero, which also drops
+wall time from the best-configuration tie-break).
 
 train builds each granule's invariant from v-values rescaled to a
 per-granule maximum of 1 (normalized_granule_invariants), the weighting
@@ -45,7 +45,7 @@ from .evaluation import (
 from .granulation import kmeans_granulate
 from .invariants import MeasureSpec, normalized_granule_invariants, v_value
 from .kernels import KernelSpec
-from .serialize import csv_line, dump_document, fmt_float
+from .serialize import csv_line, fmt_float, write_document
 from .solver import (
     decision_values,
     fit_kernel_lugsi,
@@ -64,8 +64,12 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="input data file")
     parser.add_argument("--format", choices=("csv", "sparse"), default="csv")
     parser.add_argument("--has-header", action="store_true", help="csv: first row is a header")
-    parser.add_argument("--label-column", type=int, default=None, help="csv: label column index")
-    parser.add_argument("--dimension-hint", type=int, default=None, help="sparse: feature count")
+    parser.add_argument(
+        "--label-column", type=_at_least(0, "--label-column"), help="csv: label column index"
+    )
+    parser.add_argument(
+        "--dimension-hint", type=_at_least(1, "--dimension-hint"), help="sparse: feature count"
+    )
 
 
 def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
@@ -326,7 +330,7 @@ def cmd_cv(args, parser) -> int:
     header_pairs = [(key, getattr(args, key)) for key in keys]
     doc = {"header": dict(header_pairs)}
     doc.update(report_document(report, timing=args.timing))
-    Path(args.report_out).write_text(dump_document(doc), encoding="utf-8", newline="\n")
+    write_document(args.report_out, doc)
     columns, *rows = plot_csv_lines(report, timing=args.timing)
     # plot_csv_lines rows come joined already; a one-field row is written as is.
     _write_table(args.csv_out, "cv", header_pairs, columns, ((row,) for row in rows))

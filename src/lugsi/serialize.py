@@ -1,14 +1,15 @@
 """Deterministic text serialization for models, reports, and CSV output.
 
 All emitted files must be byte-identical across reruns with the same
-inputs, so floats are always written with 17 significant digits (enough
-to round-trip an IEEE double exactly) and dictionaries keep insertion
-order. The document writer emits plain JSON that ``json.loads`` can read
-back.
+inputs, so floats are always written as their shortest round-trip
+spelling (``repr``, which reads back as the same double) and
+dictionaries keep insertion order. Documents are written by the
+standard ``json`` encoder and read back with ``json.loads``.
 """
 
 import json
 import math
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -17,58 +18,30 @@ from .errors import NumericError
 
 
 def fmt_float(x: float) -> str:
-    """Format a finite float with 17 significant digits."""
-    if isinstance(x, (np.floating,)):
-        x = float(x)
+    """Format a finite float as its shortest round-trip spelling."""
+    x = float(x)
     if not math.isfinite(x):
         raise NumericError(f"cannot serialize non-finite value {x!r}")
-    return f"{x:.17g}"
+    return repr(x)
 
 
-def _write_value(value: Any, out: list, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(value.items())
-        for i, (key, val) in enumerate(items):
-            out.append(f'{pad}  {json.dumps(key)}: ')
-            _write_value(val, out, indent + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        seq = value.tolist() if isinstance(value, np.ndarray) else list(value)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(seq):
-            out.append(pad + "  ")
-            _write_value(val, out, indent + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(fmt_float(float(value)))
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    else:
-        raise TypeError(f"cannot serialize value of type {type(value)!r}")
+def _plain(value: Any) -> Any:
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"cannot serialize value of type {type(value)!r}")
 
 
 def dump_document(doc: dict) -> str:
     """Render a nested dict as deterministic JSON text (trailing newline)."""
-    out: list = []
-    _write_value(doc, out, 0)
-    out.append("\n")
-    return "".join(out)
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False, default=_plain) + "\n"
+    except ValueError as exc:  # the encoder's "Out of range float values ..."
+        raise NumericError(f"cannot serialize non-finite value: {exc}") from None
+
+
+def write_document(path, doc: dict) -> None:
+    """Write :func:`dump_document` text as UTF-8 with ``\\n`` line ends."""
+    Path(path).write_text(dump_document(doc), encoding="utf-8", newline="\n")
 
 
 def load_document(text: str) -> dict:
@@ -77,11 +50,11 @@ def load_document(text: str) -> dict:
 
 
 def csv_line(*fields: Any) -> str:
-    """Join fields into one CSV line, floats at 17 significant digits."""
+    """Join fields into one CSV line, floats in their shortest round-trip spelling."""
     parts = []
     for field in fields:
         if isinstance(field, (float, np.floating)):
-            parts.append(fmt_float(float(field)))
+            parts.append(fmt_float(field))
         else:
             parts.append(str(field))
     return ",".join(parts)

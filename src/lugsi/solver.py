@@ -45,7 +45,7 @@ from .errors import DataError, LugsiError, NumericError, check_array_entries
 from .granulation import Granulation
 from .invariants import GranuleInvariant
 from .kernels import KernelSpec, gram_block
-from .serialize import dump_document, load_document
+from .serialize import load_document, write_document
 
 ROW_BLOCK = 1024
 _PSD_CHECK_LIMIT = 1_500
@@ -460,7 +460,7 @@ def model_document(model: LinearModel | KernelModel) -> dict:
 
 
 def save_model(model: LinearModel | KernelModel, path) -> None:
-    Path(path).write_text(dump_document(model_document(model)), encoding="utf-8")
+    write_document(path, model_document(model))
 
 
 def load_model(path) -> LinearModel | KernelModel:

@@ -422,6 +422,10 @@ class TestFlagsBeforeReads:
            for command in ("train", "cv", "granulate", "bench_sizes", "bench_clusters")]
         + [(command, "--folds", "1", "--folds must be >= 2")
            for command in ("cv", "bench_clusters")]
+        + [(command, "--label-column", "-1", "--label-column must be >= 0")
+           for command in ("train", "cv", "granulate", "bench_clusters")]
+        + [(command, "--dimension-hint", "0", "--dimension-hint must be >= 1")
+           for command in ("train", "cv", "granulate", "bench_clusters")]
         + [
             ("cv", "--m-grid", "0", "m must be >= 1"),
             ("bench_sizes", "--clusters", "0", "m must be >= 1"),

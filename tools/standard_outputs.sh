@@ -7,7 +7,9 @@
 # OUT_DIR is created if needed. Every command runs inside OUT_DIR with
 # relative paths, so the provenance headers do not depend on where the
 # checkout lives, and `wall_seconds` is dropped from train's stdout. Two
-# checkouts agree when `diff -r OUT_A OUT_B` prints nothing.
+# checkouts agree byte for byte when `diff -r OUT_A OUT_B` prints nothing;
+# `tools/compare_outputs.py OUT_A OUT_B` tells respelled numbers from
+# changed values.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
