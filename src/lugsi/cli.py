@@ -15,6 +15,9 @@ configuration (--clusters m, --gamma 1/C, --kernel, --delta, --seed,
 pipeline fits. It prints the objective and gradient_norm, the exact norm
 of the objective's gradient at the returned solution.
 
+A granule-count sweep at one C is cv --c-grid C --m-grid m1,m2,...;
+its report gives each m's mean_accuracy and mean_train_seconds.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 
@@ -31,10 +34,8 @@ from .dataset import Dataset, apply_scaling, load_csv, load_sparse, minmax_scale
 from .errors import DataError, NumericError
 from .evaluation import (
     SCALING_DATA_CLUSTERS,
-    CVConfig,
     GridSpec,
     benchmark_scaling,
-    cluster_sweep,
     default_c_values,
     default_delta_values,
     default_m_values,
@@ -78,11 +79,6 @@ def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cro-gamma", type=float, default=0.0, help="cro kernel constant")
 
 
-def _add_regularizer_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gamma", type=float, default=None, help="regularization weight")
-    parser.add_argument("--cost", type=float, default=None, help="tradeoff C (gamma = 1/C)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lugsi", description=__doc__)
     parser.add_argument("--version", action="version", version=f"lugsi {__version__}")
@@ -95,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="fit a model and write it to disk")
     _add_data_flags(p_train)
     _add_kernel_flags(p_train)
-    _add_regularizer_flags(p_train)
+    p_train.add_argument("--gamma", type=float, default=None, help="regularization weight")
+    p_train.add_argument("--cost", type=float, default=None, help="tradeoff C (gamma = 1/C)")
     p_train.add_argument("--clusters", type=clusters, default=1, help="granule count m")
     p_train.add_argument("--seed", type=seed, default=0)
     p_train.add_argument("--restarts", type=restarts, default=10, help="k-means restarts")
@@ -130,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--csv-out", required=True, type=_output_path)
     p_cv.set_defaults(handler=cmd_cv, parser=p_cv)
 
-    p_bench = sub.add_parser("bench", help="timing and accuracy sweeps")
+    m_sweep = "a granule-count sweep at one C is: lugsi cv --c-grid C --m-grid m1,m2,..."
+    p_bench = sub.add_parser("bench", help="timing sweep over data sizes", description=m_sweep)
     bench_sub = p_bench.add_subparsers(dest="sweep", required=True)
 
     p_sizes = bench_sub.add_parser("sizes", help="scaling sweep over synthetic data sizes")
@@ -140,22 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sizes.add_argument("--gamma", type=float, default=1.0)
     p_sizes.add_argument("--seed", type=seed, default=0)
     p_sizes.add_argument("--restarts", type=restarts, default=2)
-    p_sizes.add_argument("--no-v-matrix", action="store_true", help="skip the contrast column")
     p_sizes.add_argument("--timing", choices=("wall", "zero"), default="wall")
     p_sizes.add_argument("--out", required=True, type=_output_path)
     p_sizes.set_defaults(handler=cmd_bench_sizes, parser=p_sizes)
-
-    p_mlist = bench_sub.add_parser("clusters", help="accuracy/time sweep over granule counts")
-    _add_data_flags(p_mlist)
-    _add_kernel_flags(p_mlist)
-    _add_regularizer_flags(p_mlist)
-    p_mlist.add_argument("--m-list", required=True, help="comma-separated m values")
-    p_mlist.add_argument("--folds", type=folds, default=5)
-    p_mlist.add_argument("--seed", type=seed, default=0)
-    p_mlist.add_argument("--restarts", type=restarts, default=10)
-    p_mlist.add_argument("--timing", choices=("wall", "zero"), default="wall")
-    p_mlist.add_argument("--out", required=True, type=_output_path)
-    p_mlist.set_defaults(handler=cmd_bench_clusters, parser=p_mlist)
 
     p_gran = sub.add_parser("granulate", help="cluster the data and emit assignments")
     _add_data_flags(p_gran)
@@ -167,6 +152,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_gran.set_defaults(handler=cmd_granulate, parser=p_gran)
 
     return parser
+
+
+def _check_format_flags(args, parser) -> None:
+    """A flag of the other input format is a usage error, not silently ignored."""
+    if args.format == "sparse" and (args.has_header or args.label_column is not None):
+        flag = "--has-header" if args.has_header else "--label-column"
+        parser.error(f"{flag} applies to --format csv only")
+    if args.format == "csv" and args.dimension_hint is not None:
+        parser.error("--dimension-hint applies to --format sparse only")
 
 
 def _load_data(args) -> Dataset:
@@ -359,7 +353,6 @@ def cmd_bench_sizes(args, parser) -> int:
         seed=args.seed,
         gamma=gamma,
         restarts=args.restarts,
-        include_v_matrix=not args.no_v_matrix,
     )
     zero = args.timing == "zero"
 
@@ -388,37 +381,6 @@ def cmd_bench_sizes(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_bench_clusters(args, parser) -> int:
-    m_values = _parse_list(args.m_list, _at_least(1, "m"), "--m-list", parser)
-    gamma = _resolve_gamma(args.gamma, args.cost, parser, max(m_values))
-    _check_kernel_flags(parser, args.kernel, (args.delta,), args.cro_gamma)
-    data = _load_data(args)
-    config = CVConfig(
-        kernel_kind=args.kernel,
-        gamma=gamma,
-        m=1,
-        delta=args.delta if args.kernel == "rbf" else None,
-        cro_gamma=args.cro_gamma,
-    )
-    rows = cluster_sweep(data, m_values, config, args.folds, args.seed, args.restarts)
-    zero = args.timing == "zero"
-    _write_table(
-        args.out,
-        "bench-clusters",
-        [
-            ("data", args.data),
-            ("kernel", args.kernel),
-            ("gamma", fmt_float(gamma)),
-            ("folds", args.folds),
-            ("seed", args.seed),
-            ("timing", args.timing),
-        ],
-        "m,accuracy,train_seconds",
-        ((row.m, row.mean_accuracy, 0.0 if zero else row.mean_train_seconds) for row in rows),
-    )
-    return EXIT_OK
-
-
 def cmd_granulate(args, parser) -> int:
     data = _load_data(args)
     scaled, _ = minmax_scale(data)
@@ -443,6 +405,8 @@ def cmd_granulate(args, parser) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "format" in args:
+        _check_format_flags(args, args.parser)
     try:
         return args.handler(args, args.parser)
     except DataError as exc:

@@ -411,7 +411,6 @@ def benchmark_scaling(
     seed: int,
     gamma: float = 1.0,
     restarts: int = 2,
-    include_v_matrix: bool = True,
 ) -> list[ScalingBenchRow]:
     """Timing sweep over dataset sizes on synthetic blob data.
 
@@ -420,21 +419,25 @@ def benchmark_scaling(
     part of each fit), time the linear fit (median of
     SCALING_FIT_REPEATS), and, up to SCALING_V_MATRIX_LIMIT rows, time
     full V-matrix assembly for contrast. Accuracy is from an 80/20 holdout.
+    Every size must leave at least m training rows; m is never clipped.
     """
     sizes = list(sizes)
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise DataError("sizes must be strictly ascending")
+    train_rows = [l - max(1, l // 5) for l in sizes]
+    for l, l_train in zip(sizes, train_rows):
+        if l_train < m:
+            raise DataError(f"size {l} leaves {l_train} training rows, fewer than m={m}")
     rows = []
     measure = MeasureSpec.uniform()
-    for l in sizes:
+    for l, l_train in zip(sizes, train_rows):
         raw = generate_ndc(l, features, SCALING_DATA_CLUSTERS, seed)
-        holdout = max(1, l // 5)
-        train = raw.subset(np.arange(l - holdout))
-        test = raw.subset(np.arange(l - holdout, l))
+        train = raw.subset(np.arange(l_train))
+        test = raw.subset(np.arange(l_train, l))
         scaled, params = minmax_scale(train)
 
         started = time.perf_counter()
-        granulation = kmeans_granulate(scaled, min(m, scaled.l), seed, restarts=restarts)
+        granulation = kmeans_granulate(scaled, m, seed, restarts=restarts)
         granulate_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -449,7 +452,7 @@ def benchmark_scaling(
         fit_seconds = float(np.median(fit_times))
 
         v_matrix_seconds = None
-        if include_v_matrix and l <= SCALING_V_MATRIX_LIMIT:
+        if l <= SCALING_V_MATRIX_LIMIT:
             started = time.perf_counter()
             v_matrix(scaled, measure)
             v_matrix_seconds = time.perf_counter() - started

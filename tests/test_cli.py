@@ -336,17 +336,6 @@ class TestCv:
 
 
 class TestBench:
-    def test_cluster_sweep_rows(self, tmp_path, train_csv):
-        out = tmp_path / "sweep.csv"
-        result = run_cli(
-            "bench", "clusters", "--data", str(train_csv), "--m-list", "1,4,8",
-            "--folds", "3", "--seed", "0", "--out", str(out),
-        )
-        assert result.returncode == 0, result.stderr
-        body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-        assert body[0] == "m,accuracy,train_seconds"
-        assert len(body) == 4
-
     def test_sizes_sweep_and_zero_timing_determinism(self, tmp_path):
         args = [
             "bench", "sizes", "--sizes", "200,400", "--features", "3",
@@ -359,6 +348,14 @@ class TestBench:
         body = [line for line in out_a.read_text().splitlines() if not line.startswith("#")]
         assert body[0].startswith("l,granulate_seconds")
         assert len(body) == 3
+
+    def test_size_with_fewer_training_rows_than_m_is_data_error(self, tmp_path):
+        # sizes 10 and 20 leave 8 and 16 training rows, below the default m = 50
+        out = tmp_path / "s.csv"
+        result = run_cli("bench", "sizes", "--sizes", "10,20", "--out", str(out))
+        assert result.returncode == 3, result.stderr
+        assert "size 10" in result.stderr and "m=50" in result.stderr
+        assert not out.exists()
 
 
 class TestGranulate:
@@ -403,10 +400,10 @@ class TestFlagsBeforeReads:
         [
             (["cv", "--c-grid", "1,x", "--report-out", "{tmp}/r.json", "--csv-out", "{tmp}/r.csv"],
              "lugsi cv: error: --c-grid expects comma-separated numbers"),
-            (["bench", "clusters", "--m-list", "0", "--out", "{tmp}/c.csv"],
-             "lugsi bench clusters: error: m must be >= 1"),
+            (["train", "--gamma", "0.5", "--cost", "2", "--model-out", "{tmp}/m.json"],
+             "lugsi train: error: --gamma and --cost are mutually exclusive"),
         ],
-        ids=["cv_c_grid", "bench_clusters_m_list"],
+        ids=["cv_c_grid", "train_gamma_and_cost"],
     )
     def test_usage_error_comes_before_missing_data(self, tmp_path, args, message):
         args = [arg.format(tmp=tmp_path) for arg in args]
@@ -417,22 +414,22 @@ class TestFlagsBeforeReads:
     @pytest.mark.parametrize(
         "command, flag, value, message",
         [(command, "--seed", "-1", "--seed must be >= 0")
-         for command in ("train", "cv", "granulate", "bench_sizes", "bench_clusters")]
+         for command in ("train", "cv", "granulate", "bench_sizes")]
         + [(command, "--restarts", "0", "--restarts must be >= 1")
-           for command in ("train", "cv", "granulate", "bench_sizes", "bench_clusters")]
-        + [(command, "--folds", "1", "--folds must be >= 2")
-           for command in ("cv", "bench_clusters")]
+           for command in ("train", "cv", "granulate", "bench_sizes")]
         + [(command, "--label-column", "-1", "--label-column must be >= 0")
-           for command in ("train", "cv", "granulate", "bench_clusters")]
+           for command in ("train", "cv", "granulate")]
         + [(command, "--dimension-hint", "0", "--dimension-hint must be >= 1")
-           for command in ("train", "cv", "granulate", "bench_clusters")]
+           for command in ("train", "cv", "granulate")]
         + [
+            ("cv", "--folds", "1", "--folds must be >= 2"),
             ("cv", "--m-grid", "0", "m must be >= 1"),
             ("bench_sizes", "--clusters", "0", "m must be >= 1"),
             ("bench_sizes", "--features", "0", "--features must be >= 1"),
             ("bench_sizes", "--sizes", "0", "--sizes must be >= 10"),
             ("bench_sizes", "--sizes", "5", "--sizes must be >= 10"),
-            ("bench_sizes", "--sizes", "400,200", "--sizes must be strictly ascending"),
+            ("bench_sizes", "--sizes", "400,200",
+             "lugsi bench sizes: error: --sizes must be strictly ascending"),
         ],
     )
     def test_integer_below_its_minimum_is_usage_error(
@@ -450,8 +447,6 @@ class TestFlagsBeforeReads:
                    "--csv-out", str(tmp_path / "o.csv"), *data],
             "granulate": ["granulate", "--clusters", "2", "--out", str(tmp_path / "o.csv"), *data],
             "bench_sizes": ["bench", "sizes", "--sizes", "200", "--out", str(tmp_path / "o.csv")],
-            "bench_clusters": ["bench", "clusters", "--m-list", "2",
-                               "--out", str(tmp_path / "o.csv"), *data],
         }[command]
         result = run_cli(*args, flag, value)
         assert result.returncode == 2, result.stderr
@@ -459,14 +454,12 @@ class TestFlagsBeforeReads:
         assert "Traceback" not in result.stderr
         assert not any(tmp_path.glob("o.*"))
 
-    @pytest.mark.parametrize("command", ["train", "bench_clusters", "cv"])
+    @pytest.mark.parametrize("command", ["train", "cv"])
     def test_cost_with_infinite_inverse_is_usage_error(self, tmp_path, train_csv, command):
         # 1/cost overflows to inf for a subnormal cost, whatever the m grid
         flag = "--cost"
         if command == "train":
             args = ["train", "--model-out", str(tmp_path / "m.json")]
-        elif command == "bench_clusters":
-            args = ["bench", "clusters", "--m-list", "1,2", "--out", str(tmp_path / "c.csv")]
         else:
             flag = "--c-grid"
             args = ["cv", "--report-out", str(tmp_path / "c.json"),
@@ -477,15 +470,13 @@ class TestFlagsBeforeReads:
             assert flag in result.stderr
         assert not any(tmp_path.glob("[mc].*"))
 
-    @pytest.mark.parametrize("command", ["train", "bench_clusters", "bench_sizes", "cv"])
+    @pytest.mark.parametrize("command", ["train", "bench_sizes", "cv"])
     def test_overflowing_gamma_m_is_usage_error(self, tmp_path, train_csv, command):
         # gamma = 1e308 is finite, but the solve shifts by gamma * m
         data_flags = [["--data", str(train_csv)], ["--data", str(tmp_path / "absent.csv")]]
         regularizer = ["--gamma", "1e308"]
         if command == "train":
             args = ["train", "--clusters", "7", "--model-out", str(tmp_path / "m.json")]
-        elif command == "bench_clusters":
-            args = ["bench", "clusters", "--m-list", "3,7", "--out", str(tmp_path / "c.csv")]
         elif command == "cv":
             args = ["cv", "--m-grid", "1,7", "--report-out", str(tmp_path / "c.json"),
                     "--csv-out", str(tmp_path / "c.csv")]
@@ -507,26 +498,54 @@ class TestFlagsBeforeReads:
             (["train", "--kernel", "rbf", "--delta", "1e-200"], "2*delta^2"),
             (["train", "--kernel", "cro", "--cro-gamma", "inf"], "finite gamma constant"),
             (["cv", "--kernel", "rbf", "--delta-grid", "1,1e-200"], "2*delta^2"),
-            (["bench", "clusters", "--m-list", "2", "--kernel", "rbf", "--delta", "1e-200"],
-             "2*delta^2"),
-            (["bench", "clusters", "--m-list", "2", "--kernel", "cro", "--cro-gamma", "inf"],
-             "finite gamma constant"),
+            (["cv", "--delta-grid", "1e-200"], "2*delta^2"),
+            (["cv", "--kernel", "cro", "--cro-gamma", "inf"], "finite gamma constant"),
         ],
         ids=["train_delta_inf", "train_delta_underflow", "train_cro_gamma_inf",
-             "cv_delta_grid_underflow", "bench_clusters_delta_underflow",
-             "bench_clusters_cro_gamma_inf"],
+             "cv_delta_grid_underflow", "cv_linear_delta_grid_underflow", "cv_cro_gamma_inf"],
     )
     def test_bad_kernel_flag_is_usage_error(self, tmp_path, train_csv, args, message):
         outputs = {
             "train": ["--model-out", str(tmp_path / "m.json")],
             "cv": ["--report-out", str(tmp_path / "c.json"), "--csv-out", str(tmp_path / "c.csv")],
-            "bench": ["--out", str(tmp_path / "c.csv")],
         }[args[0]]
         for data in (train_csv, tmp_path / "absent.csv"):
             result = run_cli(*args, *outputs, "--data", str(data))
             assert result.returncode == 2, result.stderr
             assert message in result.stderr
         assert not any(tmp_path.glob("[mc].*"))
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--format", "sparse", "--label-column", "5"],
+             "--label-column applies to --format csv only"),
+            (["--format", "sparse", "--has-header"], "--has-header applies to --format csv only"),
+            (["--dimension-hint", "3"], "--dimension-hint applies to --format sparse only"),
+        ],
+        ids=["sparse_label_column", "sparse_has_header", "csv_dimension_hint"],
+    )
+    @pytest.mark.parametrize("command", ["train", "cv", "granulate", "predict"])
+    def test_flag_of_the_other_format_is_usage_error(
+        self, tmp_path, monkeypatch, train_csv, command, flags, message
+    ):
+        def no_input(*args, **kwargs):
+            raise AssertionError("input read before the flags were checked")
+
+        monkeypatch.setattr(cli, "_load_data", no_input)
+        monkeypatch.setattr(cli, "load_model", no_input)
+        args = {
+            "train": ["train", "--model-out", str(tmp_path / "o.json")],
+            "cv": ["cv", "--report-out", str(tmp_path / "o.json"),
+                   "--csv-out", str(tmp_path / "o.csv")],
+            "granulate": ["granulate", "--clusters", "2", "--out", str(tmp_path / "o.csv")],
+            "predict": ["predict", "--model", str(tmp_path / "m.json"),
+                        "--out", str(tmp_path / "o.csv")],
+        }[command]
+        result = run_cli(*args, "--data", str(train_csv), *flags)
+        assert result.returncode == 2, result.stderr
+        assert f"lugsi {command}: error: {message}" in result.stderr
+        assert not any(tmp_path.glob("o.*"))
 
     @pytest.mark.parametrize("where", ["directory", "under_a_file"])
     @pytest.mark.parametrize("command", ["train", "granulate"])
@@ -552,15 +571,13 @@ def test_csv_layouts(tmp_path, train_csv):
     data = str(train_csv)
     model = tmp_path / "model.json"
     assert run_cli("train", "--data", data, "--model-out", str(model), "--clusters", "2").returncode == 0
-    out = {name: tmp_path / f"{name}.csv" for name in ("predict", "cv", "sizes", "clusters", "gran", "granv")}
+    out = {name: tmp_path / f"{name}.csv" for name in ("predict", "cv", "sizes", "gran", "granv")}
     runs = [
         ["predict", "--model", str(model), "--data", data, "--out", str(out["predict"])],
         ["cv", "--data", data, "--c-grid", "1", "--m-grid", "2", "--folds", "3", "--timing", "zero",
          "--report-out", str(tmp_path / "r.json"), "--csv-out", str(out["cv"])],
         ["bench", "sizes", "--sizes", "200", "--features", "3", "--clusters", "4", "--seed", "1",
          "--timing", "zero", "--out", str(out["sizes"])],
-        ["bench", "clusters", "--data", data, "--m-list", "1,2", "--cost", "4", "--folds", "3",
-         "--timing", "zero", "--out", str(out["clusters"])],
         ["granulate", "--data", data, "--clusters", "2", "--out", str(out["gran"])],
         ["granulate", "--data", data, "--clusters", "2", "--emit-v", "--out", str(out["granv"])],
     ]
@@ -575,9 +592,6 @@ def test_csv_layouts(tmp_path, train_csv):
         "sizes": ("# lugsi bench-sizes format_version=1 sizes=200 features=3 clusters=4 seed=1 "
                   "timing=zero",
                   "l,granulate_seconds,assembly_seconds,fit_seconds,v_matrix_seconds,accuracy"),
-        "clusters": (f"# lugsi bench-clusters format_version=1 data={data} kernel=linear gamma=0.25 "
-                     "folds=3 seed=0 timing=zero",
-                     "m,accuracy,train_seconds"),
         "gran": (f"# lugsi granulate format_version=1 data={data} clusters=2 seed=0 emit_v=False",
                  "sample_index,granule_index"),
         "granv": (f"# lugsi granulate format_version=1 data={data} clusters=2 seed=0 emit_v=True",

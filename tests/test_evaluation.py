@@ -48,6 +48,10 @@ def count_granulations(monkeypatch) -> list:
     return calls
 
 
+def bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
 def separable_line() -> Dataset:
     x = np.concatenate([np.linspace(0.0, 0.4, 10), np.linspace(0.6, 1.0, 10)])
     return Dataset(x[:, None], (x > 0.5).astype(int))
@@ -329,6 +333,15 @@ class TestBenchmarks:
         with pytest.raises(DataError, match="ascending"):
             benchmark_scaling((600, 300), features=3, m=4, seed=0)
 
+    def test_size_below_m_is_rejected_before_any_data(self, monkeypatch):
+        def no_data(*args, **kwargs):
+            raise AssertionError("data generated before the sizes were checked")
+
+        monkeypatch.setattr(lugsi.evaluation, "generate_ndc", no_data)
+        # 10 and 20 rows leave 8 and 16 training rows; m is not clipped to them
+        with pytest.raises(DataError, match=r"size 10 leaves 8 training rows, fewer than m=50"):
+            benchmark_scaling((10, 20), features=3, m=50, seed=0)
+
     def test_cluster_sweep_rows(self, rng):
         data = random_binary_dataset(rng, 40, 3)
         rows = cluster_sweep(
@@ -338,3 +351,27 @@ class TestBenchmarks:
         for row in rows:
             assert row.mean_train_seconds > 0.0
             assert 0.0 <= row.mean_accuracy <= 1.0
+
+    @pytest.mark.parametrize(
+        "kind, delta, cro_gamma", [("linear", None, 0.0), ("rbf", 0.5, 0.0), ("cro", None, 0.3)]
+    )
+    def test_grid_at_one_c_is_the_cluster_sweep(self, rng, kind, delta, cro_gamma):
+        """An m grid at one C gives the sweep's and cross_validate's numbers, bit for bit."""
+        data = random_binary_dataset(rng, 24, 3)
+        c, ms, folds, seed = 4.0, (1, 5, 30), 4, 3  # m = 30 is above the 18 training rows
+        deltas = () if delta is None else (delta,)
+        report = grid_search(
+            data, GridSpec((c,), deltas, ms, folds, seed), kind, cro_gamma=cro_gamma, restarts=3
+        )
+        config = CVConfig(kind, gamma=1.0 / c, m=1, delta=delta, cro_gamma=cro_gamma)
+        sweep = cluster_sweep(data, ms, config, folds, seed, restarts=3)
+        assert [row.m for row in sweep] == [result.config.m for result in report.results] == list(ms)
+        assert report.results[-1].m_clipped
+        for result, row in zip(report.results, sweep):
+            single = cross_validate(data, replace(config, m=row.m), folds, seed, restarts=3)
+            assert bits(row.mean_accuracy) == bits(result.mean_accuracy)
+            assert bits(single.mean_accuracy) == bits(result.mean_accuracy)
+            assert bits(single.std_accuracy) == bits(result.std_accuracy)
+            assert len(single.fold_results) == len(result.fold_results) == folds
+            for ours, theirs in zip(result.fold_results, single.fold_results):
+                assert ours.predictions.tobytes() == theirs.predictions.tobytes()

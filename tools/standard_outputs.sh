@@ -47,5 +47,6 @@ lugsi granulate --data wine.csv --clusters 5 --out granulate.csv
 lugsi granulate --data wine.csv --clusters 5 --emit-v --out granulate_v.csv
 
 lugsi bench sizes --sizes 300,600 --timing zero --out bench_sizes.csv
-lugsi bench clusters --data wine.csv --m-list 1,3,7,89 --cost 4 --seed 1 --timing zero \
-    --out bench_clusters.csv
+# a granule-count sweep at one C
+lugsi cv --data wine.csv --c-grid 4 --m-grid 1,3,7,89 --seed 1 --timing zero \
+    --report-out cv_m_sweep.json --csv-out cv_m_sweep.csv > cv_m_sweep.stdout
