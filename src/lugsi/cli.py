@@ -3,9 +3,10 @@
 Subcommands: train, predict, cv, bench, granulate. Every run is fully
 determined by its flags; all randomness flows from --seed. Output files
 carry a config header for provenance and spell every float as its
-shortest round-trip repr, so reruns with identical flags produce
-byte-identical files (for cv/bench pass --timing zero, which also drops
-wall time from the best-configuration tie-break).
+shortest round-trip repr, so reruns with identical flags on one host
+produce byte-identical files (for cv/bench pass --timing zero, which also
+drops wall time from the best-configuration tie-break). Across hosts, or
+with another BLAS thread count, the last bits of a product may move.
 
 train builds each granule's invariant from v-values rescaled to a
 per-granule maximum of 1 (normalized_granule_invariants), the weighting
@@ -44,7 +45,7 @@ from .evaluation import (
     report_document,
 )
 from .granulation import kmeans_granulate
-from .invariants import MeasureSpec, normalized_granule_invariants, v_value
+from .invariants import MeasureSpec, granule_v_vectors, normalized_granule_invariants
 from .kernels import KernelSpec
 from .serialize import csv_line, fmt_float, write_document
 from .solver import (
@@ -387,9 +388,10 @@ def cmd_granulate(args, parser) -> int:
     granulation = kmeans_granulate(scaled, args.clusters, args.seed, restarts=args.restarts)
     assignments = enumerate(granulation.assignments.tolist())
     if args.emit_v:
-        measure = MeasureSpec.uniform()
+        values = np.empty(scaled.l)
+        values[granulation.order] = granule_v_vectors(scaled, granulation, MeasureSpec.uniform()).v
         columns = "sample_index,granule_index,v_value"
-        rows = ((i, g, v_value(scaled.features[i], measure)) for i, g in assignments)
+        rows = ((i, g, values[i]) for i, g in assignments)
     else:
         columns, rows = "sample_index,granule_index", assignments
     _write_table(

@@ -30,7 +30,9 @@ from .dataset import Dataset, ScalingParams, apply_scaling, generate_ndc, kfold_
 from .errors import DataError
 from .granulation import Granulation, kmeans_granulate
 # granule_v_vectors is not called here: perfbench/tracer.py wraps it by this module's name
-from .invariants import MeasureSpec, granule_v_vectors, normalized_granule_invariants, v_matrix
+from .invariants import (
+    GranuleWeights, MeasureSpec, granule_v_vectors, normalized_granule_invariants, v_matrix,
+)
 from .kernels import KernelSpec
 from .solver import fit_kernel_lugsi, fit_linear_lugsi, predict_labels
 
@@ -174,7 +176,7 @@ class _GranulatedFold:
     scaled: Dataset
     params: ScalingParams
     granulation: Granulation
-    invariants: list
+    invariants: GranuleWeights
     seconds: float
 
 

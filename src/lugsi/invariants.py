@@ -8,8 +8,9 @@ fraction of reference points that are >= the sample in every coordinate
 
 Each granule's v entries form a vector v_k whose outer product v_k v_k^T
 is that granule's rank-one invariant matrix. Solvers never materialize
-the outer product; they only consume v_k and the invariant target
-v_k^T Y_k stored here.
+the outer product. Each builder returns one GranuleWeights: the
+per-granule v_k and targets v_k^T Y_k, and the same joined once in the
+granulation's `order` layout, which is all the solver reads.
 """
 
 from dataclasses import dataclass
@@ -78,6 +79,25 @@ class GranuleInvariant:
         object.__setattr__(self, "target", float(self.target))
 
 
+class GranuleWeights(tuple):
+    """A tuple of GranuleInvariant in granule order, joined once into
+    read-only arrays: `v` (concatenated), `ends` (cumulative sizes), `s`
+    (sums v_k^T 1) and `t` (targets). Given a GranuleWeights, returns it.
+    """
+
+    def __new__(cls, invariants):
+        if isinstance(invariants, GranuleWeights):
+            return invariants
+        self = super().__new__(cls, invariants)
+        self.v = np.concatenate([np.empty(0), *(inv.v for inv in self)])
+        self.ends = np.cumsum([inv.v.size for inv in self], dtype=np.int64)
+        self.s = np.array([inv.v.sum() for inv in self], dtype=np.float64)
+        self.t = np.array([inv.target for inv in self], dtype=np.float64)
+        for arr in (self.v, self.ends, self.s, self.t):
+            arr.flags.writeable = False
+        return self
+
+
 def _require_unit_cube(points: np.ndarray) -> None:
     if np.any(points < 0.0) or np.any(points > 1.0):
         raise DataError("point outside the unit cube; minmax scale the data first")
@@ -113,11 +133,11 @@ def v_value(point, measure: MeasureSpec) -> float:
 
 def _granule_invariants(
     data: Dataset, granulation: Granulation, measure: MeasureSpec | None, weight
-) -> list[GranuleInvariant]:
+) -> GranuleWeights:
     """One GranuleInvariant per granule, v entries ordered by member index.
 
-    `weight` maps a granule's v-values under `measure` (all ones when the
-    measure is None) to its v vector; the target is v^T Y_k.
+    `weight(values, members)` maps a granule's v-values under `measure`
+    (ones when the measure is None) to its v vector; the target is v^T Y_k.
     """
     if granulation.assignments.shape[0] != data.l:
         raise DataError("granulation does not match the dataset")
@@ -125,50 +145,57 @@ def _granule_invariants(
     labels = data.labels.astype(np.float64)
     out = []
     for members in granulation.granule_members:
-        v = weight(values[members])
+        v = weight(values[members], members)
         out.append(GranuleInvariant(v, float(v @ labels[members])))
-    return out
-
-
-def _unit_maximum(v: np.ndarray) -> np.ndarray:
-    top = v.max()
-    return v / top if top > 0.0 else v
+    return GranuleWeights(out)
 
 
 def granule_v_vectors(
     data: Dataset, granulation: Granulation, measure: MeasureSpec
-) -> list[GranuleInvariant]:
+) -> GranuleWeights:
     """One GranuleInvariant per granule, v entries ordered by member index."""
-    return _granule_invariants(data, granulation, measure, lambda v: v)
+    return _granule_invariants(data, granulation, measure, lambda v, _: v)
 
 
 def normalized_granule_invariants(
     data: Dataset, granulation: Granulation, measure: MeasureSpec
-) -> list[GranuleInvariant]:
+) -> GranuleWeights:
     """Granule invariants with each v vector rescaled to maximum 1.
 
     Raw v-values shrink like 2^-n with the feature count, which would let
     the regularizer swamp the invariant residuals on wide data for any
     reasonable regularization grid. Rescaling each granule's predicate to
     unit maximum keeps the within-granule structure while making the
-    objective's scale dimension-independent. Granules whose v vector is
-    identically zero (under the uniform measure: every member has a
-    coordinate equal to 1, or the product underflows on wide data) are
-    left as-is. So a singleton granule gets weight [1.0] only when its
-    v-value is nonzero: on minmax-scaled data every row that attains some
-    feature's maximum has uniform v-value 0, and the m = l fit is not the
-    identity-weighted (LSSVM) mode, which `unit_granule_invariants` gives.
+    objective's scale dimension-independent. A uniform-measure granule
+    whose v-values all underflow below the smallest normal float takes
+    exp(log v - max log v), log v = sum_j log1p(-x_j). Granules whose v
+    vector is still identically zero (every member has a coordinate equal
+    to 1) are left as-is. So a singleton granule gets weight [1.0] only
+    when its v-value is nonzero: on minmax-scaled data every row that
+    attains some feature's maximum has uniform v-value 0, and the m = l fit
+    is not the identity-weighted (LSSVM) mode, which
+    `unit_granule_invariants` gives.
     """
-    return _granule_invariants(data, granulation, measure, _unit_maximum)
+
+    def weight(v, members):
+        top = v.max()
+        if measure.kind == UNIFORM_UNIT_CUBE and top < np.finfo(np.float64).tiny:
+            with np.errstate(divide="ignore"):
+                log_v = np.log1p(-data.features[members]).sum(axis=1)
+            if np.isfinite(log_v.max()):
+                return np.exp(log_v - log_v.max())
+        return v / top if top > 0.0 else v
+
+    return _granule_invariants(data, granulation, measure, weight)
 
 
-def unit_granule_invariants(data: Dataset, granulation: Granulation) -> list[GranuleInvariant]:
+def unit_granule_invariants(data: Dataset, granulation: Granulation) -> GranuleWeights:
     """Unit-predicate invariants: every v entry forced to 1.
 
     This is the measure-independent switch that turns the granulated
     model into a plain least-squares one when granules are singletons.
     """
-    return _granule_invariants(data, granulation, None, lambda v: v)
+    return _granule_invariants(data, granulation, None, lambda v, _: v)
 
 
 def v_matrix(data: Dataset, measure: MeasureSpec) -> np.ndarray:

@@ -20,10 +20,11 @@ O(m*l) memory: its P is accumulated from Gram blocks of about
 All four modes solve these normal equations in one core, `_closed_form`,
 which takes a design D, a bias column, targets and an optional weight
 matrix W (None for the identity). The granulated linear and kernel fits
-pass (P, s, t), since sum_k v_k v_k^T weighting of the full design is
-the identity weighting of P. `fit_lssvm` is the identity-weighted
-degenerate mode (singleton granules, unit predicates): it passes
-(D, 1, Y) with m = l, so its effective regularizer is gamma * l.
+read v, s and t as joined once per `GranuleWeights` and pass (P, s, t),
+since sum_k v_k v_k^T weighting of the full design is the identity
+weighting of P. `fit_lssvm` is the identity-weighted degenerate mode
+(singleton granules, unit predicates): it passes (D, 1, Y) with m = l,
+so its effective regularizer is gamma * l.
 `fit_vsvm` keeps the dense reference construction for cross-checks: it
 passes (D, 1, Y) with W = V and m = 1. Both build the whole design; the
 full V-matrix is never materialized for a granulated fit.
@@ -43,7 +44,7 @@ import scipy.linalg
 from .dataset import Dataset, ScalingParams
 from .errors import DataError, LugsiError, NumericError, check_array_entries
 from .granulation import Granulation
-from .invariants import GranuleInvariant
+from .invariants import GranuleInvariant, GranuleWeights
 from .kernels import KernelSpec, gram_block
 from .serialize import load_document, write_document
 
@@ -250,14 +251,14 @@ def _row_blocks(rows: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _design_rows(data, granulation, invariants, kernel) -> np.ndarray:
+def _design_rows(data, granulation, weights, kernel) -> np.ndarray:
     """P, whose row k is design_k^T v_k, from one walk over the rows in granule order.
 
-    Granule k is order[ends[k-1]:ends[k]] (from 0 for k = 0); the joined v
-    vectors line up with `order`. A linear fit takes the feature rows in
-    granule order as one block, a kernel fit Gram blocks of `_row_blocks`
-    rows against all training rows (no l x l Gram). Each block adds the
-    segments of the granules it covers, advancing k past each end.
+    Granule k is order[ends[k-1]:ends[k]] (from 0 for k = 0); `weights`,
+    the joined v vectors, line up with `order`. A linear fit takes the
+    feature rows in granule order as one block, a kernel fit Gram blocks of
+    `_row_blocks` rows against all training rows (no l x l Gram). Each
+    block adds the segments of the granules it covers, advancing k past each end.
     """
     m, X, linear = granulation.m, data.features, kernel is None
     blocks = [slice(0, data.l)] if linear else _row_blocks(data.l)
@@ -266,7 +267,6 @@ def _design_rows(data, granulation, invariants, kernel) -> np.ndarray:
         largest = max(m, *(rows.stop - rows.start for rows in blocks))
         check_array_entries("kernel P or Gram block", largest, data.l)
     order, ends = granulation.order, granulation.ends.tolist()
-    weights = np.concatenate([inv.v for inv in invariants])
     P = np.zeros((m, data.n if linear else data.l), dtype=np.float64)
     k = 0
     for rows in blocks:
@@ -285,30 +285,31 @@ def _design_rows(data, granulation, invariants, kernel) -> np.ndarray:
 def _granulated_fit(
     data: Dataset,
     granulation: Granulation,
-    invariants: list[GranuleInvariant],
+    invariants: GranuleWeights | list[GranuleInvariant],
     kernel: KernelSpec | None,
     gamma: float,
     scaling: ScalingParams | None,
 ):
     """Rank-one fit with one invariant per granule, in granule-index order.
 
-    Accumulates row k of P as design_k^T v_k (`_design_rows`),
-    s_k = sum(v_k) and t_k = v_k^T Y_k.
+    Reads the joined layout of `GranuleWeights(invariants)`: row k of P is
+    design_k^T v_k (`_design_rows`), and s and t are the weights' own.
     """
     if granulation.assignments.shape[0] != data.l:
         raise DataError("granulation does not match the dataset")
-    if [inv.v.size for inv in invariants] != np.diff(granulation.ends, prepend=0).tolist():
+    weights = GranuleWeights(invariants)
+    if not np.array_equal(weights.ends, granulation.ends):
         raise DataError("need one GranuleInvariant per granule, as long as the granule")
-    s = np.array([inv.v.sum() for inv in invariants], dtype=np.float64)
-    t = np.array([inv.target for inv in invariants], dtype=np.float64)
-    P = _design_rows(data, granulation, invariants, kernel)
-    return _closed_form(data, kernel, gamma, granulation.m, granulation.seed, scaling, P, s, t)
+    P = _design_rows(data, granulation, weights.v, kernel)
+    return _closed_form(
+        data, kernel, gamma, granulation.m, granulation.seed, scaling, P, weights.s, weights.t
+    )
 
 
 def fit_linear_lugsi(
     data: Dataset,
     granulation: Granulation,
-    invariants: list[GranuleInvariant],
+    invariants: GranuleWeights | list[GranuleInvariant],
     gamma: float,
     scaling: ScalingParams | None = None,
 ) -> tuple[LinearModel, FitDiagnostics]:
@@ -325,7 +326,7 @@ def fit_linear_lugsi(
 def fit_kernel_lugsi(
     data: Dataset,
     granulation: Granulation,
-    invariants: list[GranuleInvariant],
+    invariants: GranuleWeights | list[GranuleInvariant],
     kernel: KernelSpec,
     gamma: float,
     scaling: ScalingParams | None = None,

@@ -157,6 +157,42 @@ class TestNormalizedGranuleInvariants:
         assert invs[1].v.max() == 1.0
 
 
+    def test_underflowed_granule_is_rescaled_in_log_space(self):
+        # unscaled rows in [0, 0.5)^1200, none at a feature maximum: granule 0
+        # sits near the origin; granule 1's v-values all underflow (about
+        # e^-773); granule 2 mixes such rows with some of normal size
+        gen = np.random.default_rng(41)
+        n = 1200
+        features = np.vstack([
+            1e-4 * gen.random((6, n)),
+            0.45 + 0.05 * gen.random((8, n)),
+            0.45 + 0.05 * gen.random((5, n)),
+            0.2 + 0.05 * gen.random((3, n)),
+        ])
+        features = np.minimum(features, np.nextafter(0.5, 0.0))
+        labels = gen.integers(0, 2, features.shape[0])
+        data = Dataset(features, labels)
+        assignments = np.repeat([0, 1, 2], [6, 8, 8])
+        g = Granulation(
+            assignments=assignments,
+            centroids=np.array([features[assignments == k].mean(axis=0) for k in range(3)]),
+            clustering_error=0.0,
+            iterations_run=1,
+            seed=0,
+        )
+        raw = granule_v_vectors(data, g, MeasureSpec.uniform())
+        invs = normalized_granule_invariants(data, g, MeasureSpec.uniform())
+        tiny = np.finfo(np.float64).tiny
+        assert raw[1].v.max() < tiny < raw[0].v.min() and raw[2].v.max() > tiny
+        for k in (0, 2):
+            np.testing.assert_array_equal(invs[k].v, raw[k].v / raw[k].v.max())
+        log_v = np.log(1.0 - features[g.granule_members[1]]).sum(axis=1)
+        np.testing.assert_allclose(invs[1].v, np.exp(log_v - log_v.max()), rtol=1e-9)
+        assert invs[1].v.max() == 1.0 and invs[1].v.min() < 0.5
+        for members, inv in zip(g.granule_members, invs):
+            assert inv.target == float(inv.v @ labels[members].astype(np.float64))
+
+
 class TestVMatrix:
     def test_one_dimensional_pair(self):
         data = Dataset(np.array([[0.2], [0.5]]), np.array([0, 1]))

@@ -23,6 +23,7 @@ from lugsi import (
     DataError,
     Dataset,
     GranuleInvariant,
+    GranuleWeights,
     KernelSpec,
     MeasureSpec,
     NumericError,
@@ -519,6 +520,30 @@ class TestSolveSides:
         assert factored_dims == [min(g.m, l)]
         np.testing.assert_allclose(model.A, A, rtol=1e-10, atol=1e-12)
         assert model.c == pytest.approx(c, rel=1e-10, abs=1e-12)
+
+
+class TestGranuleWeights:
+    """The builders' joined layout and a plain list of its items fit alike."""
+
+    def test_joined_arrays_and_both_input_forms_agree(self):
+        data = random_binary_dataset(np.random.default_rng(31), ROW_BLOCK + 300, 3)
+        g = kmeans_granulate(data, 7, seed=31)
+        weights = normalized_granule_invariants(data, g, MeasureSpec.uniform())
+        assert isinstance(weights, GranuleWeights)
+        assert GranuleWeights(weights) is weights
+        np.testing.assert_array_equal(weights.ends, g.ends)
+        for k, inv in enumerate(weights):
+            assert weights.s[k].tobytes() == inv.v.sum().tobytes()
+            assert weights.t[k] == inv.target
+        assert weights.v.tobytes() == np.concatenate([inv.v for inv in weights]).tobytes()
+        rebuilt = [GranuleInvariant(inv.v, inv.target) for inv in weights]
+        spec = KernelSpec("rbf", delta=1.0)
+        for fit in (
+            lambda invs: fit_linear_lugsi(data, g, invs, 0.3),
+            lambda invs: fit_kernel_lugsi(data, g, invs, spec, 0.3),
+        ):
+            first, second = fit(weights)[0], fit(rebuilt)[0]
+            assert dump_document(model_document(first)) == dump_document(model_document(second))
 
 
 class TestKernelBlocks:

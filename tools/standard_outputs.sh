@@ -31,17 +31,29 @@ for kernel in linear rbf; do
         --report-out "cv_$kernel.json" --csv-out "cv_$kernel.csv" > "cv_$kernel.stdout"
 done
 
+# 2500 synthetic rows from the checkout's generator, so granules cross the
+# 1024-row Gram blocks of a kernel fit and of kernel scoring
+PYTHONPATH="$src/src" python3 -c '
+from lugsi.dataset import generate_ndc
+from lugsi.serialize import csv_line
+data = generate_ndc(2500, 8, 10, 1)
+with open("ndc.csv", "w") as out:
+    for row, label in zip(data.features.tolist(), data.labels.tolist()):
+        print(csv_line(*row, label), file=out)
+'
+
 train() {
-    local name=$1
-    shift
-    lugsi train --data wine.csv --seed 1 "$@" --model-out "train_$name.json" \
+    local name=$1 data=$2
+    shift 2
+    lugsi train --data "$data" --seed 1 "$@" --model-out "train_$name.json" \
         | grep -v '^wall_seconds ' > "train_$name.stdout"
-    lugsi predict --data wine.csv --model "train_$name.json" --out "predict_$name.csv"
+    lugsi predict --data "$data" --model "train_$name.json" --out "predict_$name.csv"
 }
-train linear --clusters 7
-train rbf --clusters 7 --kernel rbf --delta 0.5
-train cro --clusters 7 --kernel cro --cro-gamma 0.3
-train empirical --clusters 178 --measure empirical
+train linear wine.csv --clusters 7
+train rbf wine.csv --clusters 7 --kernel rbf --delta 0.5
+train cro wine.csv --clusters 7 --kernel cro --cro-gamma 0.3
+train empirical wine.csv --clusters 178 --measure empirical
+train rbf_ndc ndc.csv --clusters 7 --kernel rbf
 
 lugsi granulate --data wine.csv --clusters 5 --out granulate.csv
 lugsi granulate --data wine.csv --clusters 5 --emit-v --out granulate_v.csv
@@ -50,3 +62,6 @@ lugsi bench sizes --sizes 300,600 --timing zero --out bench_sizes.csv
 # a granule-count sweep at one C
 lugsi cv --data wine.csv --c-grid 4 --m-grid 1,3,7,89 --seed 1 --timing zero \
     --report-out cv_m_sweep.json --csv-out cv_m_sweep.csv > cv_m_sweep.stdout
+# the default rbf grid: 765 configurations x 5 folds
+lugsi cv --data wine.csv --kernel rbf --seed 1 --timing zero \
+    --report-out cv_rbf_default.json --csv-out cv_rbf_default.csv > cv_rbf_default.stdout
