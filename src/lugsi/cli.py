@@ -19,6 +19,9 @@ of the objective's gradient at the returned solution.
 A granule-count sweep at one C is cv --c-grid C --m-grid m1,m2,...;
 its report gives each m's mean_accuracy and mean_train_seconds.
 
+A kernel flag that the chosen kernel does not use (--delta or --delta-grid
+without rbf, --cro-gamma without cro) is a usage error, not ignored.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
 
@@ -76,8 +79,8 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel", choices=("linear", "rbf", "cro"), default="linear")
-    parser.add_argument("--delta", type=float, default=1.0, help="rbf width")
-    parser.add_argument("--cro-gamma", type=float, default=0.0, help="cro kernel constant")
+    parser.add_argument("--delta", type=float, default=None, help="rbf width (default 1)")
+    parser.add_argument("--cro-gamma", type=float, default=None, help="cro constant (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,14 +194,25 @@ def _resolve_gamma(
     return gamma
 
 
-def _check_kernel_flags(parser, kind: str, deltas, cro_gamma: float) -> None:
-    """A delta or cro gamma that KernelSpec rejects is a usage error, whatever the kernel."""
+def _check_kernel_flags(parser, args, deltas, delta_flag: str) -> float:
+    """Usage errors of the kernel flags; returns the cro gamma (0 if not given).
+
+    A delta or cro gamma that KernelSpec rejects is one whatever the kernel.
+    So is a flag the kernel does not use: `delta_flag` unless the kernel is
+    rbf, --cro-gamma unless it is cro.
+    """
+    cro_gamma = 0.0 if args.cro_gamma is None else args.cro_gamma
     try:
         for delta in deltas:
             KernelSpec("rbf", delta=delta)
-        KernelSpec(kind, cro_gamma=cro_gamma)
+        KernelSpec(args.kernel, cro_gamma=cro_gamma)
     except DataError as exc:
         parser.error(str(exc))
+    for flag, kind in ((delta_flag, "rbf"), ("--cro-gamma", "cro")):
+        # flag[2:] with "_" for "-" is the flag's argparse dest
+        if getattr(args, flag[2:].replace("-", "_")) is not None and args.kernel != kind:
+            parser.error(f"{flag} applies to --kernel {kind} only")
+    return cro_gamma
 
 
 def _parse_list(text: str | None, kind: type, flag: str, parser, default=None) -> tuple:
@@ -253,7 +267,8 @@ def _write_table(path: str, command: str, pairs, columns: str, rows, trailer=())
 
 def cmd_train(args, parser) -> int:
     gamma = _resolve_gamma(args.gamma, args.cost, parser, args.clusters)
-    _check_kernel_flags(parser, args.kernel, (args.delta,), args.cro_gamma)
+    delta = 1.0 if args.delta is None else args.delta
+    cro_gamma = _check_kernel_flags(parser, args, (delta,), "--delta")
     data = _load_data(args)
     scaled, params = minmax_scale(data)
     started = time.perf_counter()
@@ -266,7 +281,7 @@ def cmd_train(args, parser) -> int:
     if args.kernel == "linear":
         model, diagnostics = fit_linear_lugsi(scaled, granulation, invariants, gamma, params)
     else:
-        spec = KernelSpec(kind=args.kernel, delta=args.delta, cro_gamma=args.cro_gamma)
+        spec = KernelSpec(kind=args.kernel, delta=delta, cro_gamma=cro_gamma)
         model, diagnostics = fit_kernel_lugsi(scaled, granulation, invariants, spec, gamma, params)
     wall = time.perf_counter() - started
     save_model(model, args.model_out)
@@ -299,7 +314,9 @@ def cmd_cv(args, parser) -> int:
     delta_values = _parse_list(
         args.delta_grid, float, "--delta-grid", parser, default_delta_values()
     )
-    _check_kernel_flags(parser, args.kernel, delta_values, args.cro_gamma)
+    cro_gamma = _check_kernel_flags(parser, args, delta_values, "--delta-grid")
+    if args.delta is not None:
+        parser.error("cv takes its rbf widths from --delta-grid, not --delta")
     # The default m grid depends on the row count, so it (and its gamma*m) waits for the data.
     m_values = _parse_list(args.m_grid, _at_least(1, "m"), "--m-grid", parser, default=())
     for c in c_values:
@@ -316,13 +333,15 @@ def cmd_cv(args, parser) -> int:
         data,
         grid,
         args.kernel,
-        cro_gamma=args.cro_gamma,
+        cro_gamma=cro_gamma,
         restarts=args.restarts,
         threads=args.threads,
         time_tiebreak=args.timing == "wall",
     )
-    keys = ("data", "kernel", "folds", "seed", "timing")
+    keys = ("data", "kernel", "folds", "seed", "restarts", "timing")
     header_pairs = [(key, getattr(args, key)) for key in keys]
+    if args.kernel == "cro":
+        header_pairs.insert(2, ("cro_gamma", cro_gamma))  # right after the kernel
     doc = {"header": dict(header_pairs)}
     doc.update(report_document(report, timing=args.timing))
     write_document(args.report_out, doc)
@@ -362,10 +381,11 @@ def cmd_bench_sizes(args, parser) -> int:
             return "NA"
         return fmt_float(0.0 if zero else value)
 
+    keys = ("sizes", "features", "clusters", "gamma", "seed", "restarts", "timing")
     _write_table(
         args.out,
         "bench-sizes",
-        [(key, getattr(args, key)) for key in ("sizes", "features", "clusters", "seed", "timing")],
+        [(key, getattr(args, key)) for key in keys],
         "l,granulate_seconds,assembly_seconds,fit_seconds,v_matrix_seconds,accuracy",
         (
             (
@@ -397,7 +417,7 @@ def cmd_granulate(args, parser) -> int:
     _write_table(
         args.out,
         "granulate",
-        [(key, getattr(args, key)) for key in ("data", "clusters", "seed", "emit_v")],
+        [(key, getattr(args, key)) for key in ("data", "clusters", "seed", "restarts", "emit_v")],
         columns,
         rows,
         trailer=[f"# clustering_error={fmt_float(granulation.clustering_error)}"],

@@ -16,6 +16,8 @@ the m x m system P P^T + gamma*m*I instead, through the push-through
 identity (P^T P + gI)^-1 P^T = P^T (P P^T + gI)^-1, so a kernel fit costs
 O(m*l) memory: its P is accumulated from Gram blocks of about
 `ROW_BLOCK` training rows, and kernel scoring is blocked the same way.
+The factored system is solved on numpy alone (`_factor_solve`: Cholesky,
+then block substitution), so the package loads a single BLAS.
 
 All four modes solve these normal equations in one core, `_closed_form`,
 which takes a design D, a bias column, targets and an optional weight
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import Dataset, ScalingParams
 from .errors import DataError, LugsiError, NumericError, check_array_entries
@@ -50,6 +51,7 @@ from .serialize import load_document, write_document
 
 ROW_BLOCK = 1024
 _PSD_CHECK_LIMIT = 1_500
+_SOLVE_BLOCK = 64
 _B_DEGENERACY_TOL = 1e-12
 
 
@@ -141,20 +143,33 @@ _KINDS = {
 def _factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky solve with one refinement step; returns (z, condition hint).
 
-    The hint is the squared ratio of the extreme Cholesky diagonal
-    entries, a cheap lower bound on the 2-norm condition number.
+    L from `np.linalg.cholesky` is applied by block substitution: only its
+    diagonal blocks of `_SOLVE_BLOCK` rows are inverted, so a solve costs O(n^2).
+    The hint is the squared ratio of the extreme diagonal entries of L, a
+    cheap lower bound on the 2-norm condition number.
     """
     M = np.asarray(M, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
     if not np.all(np.isfinite(M)) or not np.all(np.isfinite(rhs)):
         raise NumericError("non-finite entries in the linear system")
     try:
-        factor = scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError(f"Cholesky factorization failed: {exc}") from None
-    z = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    z += scipy.linalg.cho_solve(factor, rhs - M @ z, check_finite=False)
-    diag = np.diag(factor[0])
+        L = np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise NumericError("Cholesky failed: a leading minor is not positive definite") from None
+    blocks = [slice(lo, min(lo + _SOLVE_BLOCK, len(L))) for lo in range(0, len(L), _SOLVE_BLOCK)]
+    inverses = [np.linalg.inv(L[rows, rows]) for rows in blocks]
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        y, z = np.empty_like(r), np.empty_like(r)
+        for rows, inv in zip(blocks, inverses):  # L y = r, top block first
+            y[rows] = inv @ (r[rows] - L[rows, :rows.start] @ y[:rows.start])
+        for rows, inv in zip(blocks[::-1], inverses[::-1]):  # L^T z = y, bottom block first
+            z[rows] = inv.T @ (y[rows] - L[rows.stop:, rows].T @ z[rows.stop:])
+        return z
+
+    z = solve(rhs)
+    z += solve(rhs - M @ z)
+    diag = np.diag(L)
     return z, float((diag.max() / diag.min()) ** 2)
 
 
@@ -387,7 +402,7 @@ def fit_vsvm(
     if float(np.max(np.abs(V - V.T))) > 1e-12 * scale:
         raise DataError("V must be symmetric")
     if data.l <= _PSD_CHECK_LIMIT:
-        smallest = float(scipy.linalg.eigvalsh(V, subset_by_index=(0, 0))[0])
+        smallest = float(np.linalg.eigvalsh(V)[0])
         if smallest < -1e-8:
             raise DataError(f"V is not positive semidefinite (eigenvalue {smallest:.3e})")
 

@@ -516,6 +516,39 @@ class TestFlagsBeforeReads:
         assert not any(tmp_path.glob("[mc].*"))
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["train", "--delta", "0.5"], "--delta applies to --kernel rbf only"),
+            (["train", "--kernel", "cro", "--delta", "0.5"], "--delta applies to --kernel rbf only"),
+            (["train", "--kernel", "rbf", "--cro-gamma", "0.3"],
+             "--cro-gamma applies to --kernel cro only"),
+            (["train", "--cro-gamma", "0"], "--cro-gamma applies to --kernel cro only"),
+            (["cv", "--delta-grid", "0.5,2"], "--delta-grid applies to --kernel rbf only"),
+            (["cv", "--kernel", "cro", "--delta-grid", "1"],
+             "--delta-grid applies to --kernel rbf only"),
+            (["cv", "--kernel", "rbf", "--cro-gamma", "0.3"],
+             "--cro-gamma applies to --kernel cro only"),
+            (["cv", "--kernel", "rbf", "--delta", "0.5"], "cv takes its rbf widths from --delta-grid"),
+        ],
+        ids=["train_linear_delta", "train_cro_delta", "train_rbf_cro_gamma",
+             "train_linear_cro_gamma_default", "cv_linear_delta_grid", "cv_cro_delta_grid",
+             "cv_rbf_cro_gamma", "cv_delta"],
+    )
+    def test_flag_the_kernel_does_not_use_is_usage_error(
+        self, tmp_path, train_csv, args, message
+    ):
+        outputs = {
+            "train": ["--model-out", str(tmp_path / "m.json")],
+            "cv": ["--c-grid", "1", "--m-grid", "2", "--report-out", str(tmp_path / "c.json"),
+                   "--csv-out", str(tmp_path / "c.csv")],
+        }[args[0]]
+        for data in (train_csv, tmp_path / "absent.csv"):
+            result = run_cli(*args, *outputs, "--data", str(data))
+            assert result.returncode == 2, result.stderr
+            assert message in result.stderr
+        assert not any(tmp_path.glob("[mc].*"))
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--format", "sparse", "--label-column", "5"],
@@ -587,14 +620,17 @@ def test_csv_layouts(tmp_path, train_csv):
     expected = {
         "predict": (f"# lugsi predict format_version=1 model={model} data={data}",
                     "index,decision_value,label"),
-        "cv": (f"# lugsi cv format_version=1 data={data} kernel=linear folds=3 seed=0 timing=zero",
+        "cv": (f"# lugsi cv format_version=1 data={data} kernel=linear folds=3 seed=0 restarts=10 "
+               "timing=zero",
                "c,delta,m,fold,acc,train_seconds"),
-        "sizes": ("# lugsi bench-sizes format_version=1 sizes=200 features=3 clusters=4 seed=1 "
-                  "timing=zero",
+        "sizes": ("# lugsi bench-sizes format_version=1 sizes=200 features=3 clusters=4 gamma=1.0 "
+                  "seed=1 restarts=2 timing=zero",
                   "l,granulate_seconds,assembly_seconds,fit_seconds,v_matrix_seconds,accuracy"),
-        "gran": (f"# lugsi granulate format_version=1 data={data} clusters=2 seed=0 emit_v=False",
+        "gran": (f"# lugsi granulate format_version=1 data={data} clusters=2 seed=0 restarts=10 "
+                 "emit_v=False",
                  "sample_index,granule_index"),
-        "granv": (f"# lugsi granulate format_version=1 data={data} clusters=2 seed=0 emit_v=True",
+        "granv": (f"# lugsi granulate format_version=1 data={data} clusters=2 seed=0 restarts=10 "
+                  "emit_v=True",
                   "sample_index,granule_index,v_value"),
     }
     for name, (first, columns) in expected.items():
@@ -608,6 +644,41 @@ def test_csv_layouts(tmp_path, train_csv):
             assert float(lines[-2].removeprefix("# clustering_error=")) >= 0.0
         else:
             assert trailer == [], name
+
+
+@pytest.mark.parametrize(
+    "args, flags",
+    [
+        (["bench", "sizes", "--sizes", "200", "--features", "3", "--clusters", "4"],
+         ["--gamma", "0.5"]),
+        (["bench", "sizes", "--sizes", "200", "--features", "3", "--clusters", "4"],
+         ["--restarts", "3"]),
+        (["granulate", "--clusters", "2"], ["--restarts", "3"]),
+        (["cv", "--c-grid", "1", "--m-grid", "2", "--folds", "3"], ["--restarts", "3"]),
+        (["cv", "--kernel", "cro", "--c-grid", "1", "--m-grid", "2", "--folds", "3"],
+         ["--cro-gamma", "0.5"]),
+    ],
+    ids=["bench_sizes_gamma", "bench_sizes_restarts", "granulate_restarts", "cv_restarts",
+         "cv_cro_gamma"],
+)
+def test_provenance_names_flags_that_shape_the_result(tmp_path, train_csv, args, flags):
+    """Two runs that differ only in `flags` write different provenance headers:
+    the first CSV line, and for cv also the report's `header`."""
+    headers = []
+    for run, extra in enumerate(([], flags)):
+        csv_out, report = tmp_path / f"{run}.csv", tmp_path / f"{run}.json"
+        outputs = {
+            "bench": ["--out", str(csv_out)],
+            "granulate": ["--data", str(train_csv), "--out", str(csv_out)],
+            "cv": ["--data", str(train_csv), "--report-out", str(report), "--csv-out", str(csv_out)],
+        }[args[0]]
+        result = run_cli(*args, *extra, *outputs)
+        assert result.returncode == 0, result.stderr
+        header = [csv_out.read_text(encoding="utf-8").split("\n")[0]]
+        if args[0] == "cv":
+            header.append(json.loads(report.read_text(encoding="utf-8"))["header"])
+        headers.append(header)
+    assert all(first != second for first, second in zip(*headers))
 
 
 def test_module_entry_point_runs_the_cli(tmp_path, train_csv):
@@ -627,3 +698,12 @@ def test_importing_the_package_does_not_load_the_cli():
     result = run_process("-c", "import sys, lugsi; print('lugsi.cli' in sys.modules)")
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_importing_the_package_loads_no_scipy():
+    # numpy is the one linear-algebra library, so one BLAS thread pool is loaded
+    result = run_process(
+        "-c", "import sys, lugsi; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

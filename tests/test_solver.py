@@ -99,6 +99,25 @@ class TestSolveSpd:
         with pytest.raises(NumericError, match="minor"):
             solve_spd(M, np.ones(2))
 
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 129, 500])
+    def test_sizes_across_the_substitution_blocks(self, rng, m):
+        # the triangular solves substitute over blocks of 64 rows
+        B = rng.standard_normal((m, m))
+        M = B @ B.T + m * np.eye(m)
+        rhs = rng.standard_normal((m, 2))
+        z = solve_spd(M, rhs)
+        assert np.linalg.norm(M @ z - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        reference = np.linalg.solve(M, rhs)
+        assert np.linalg.norm(z - reference) <= 1e-10 * np.linalg.norm(reference)
+        z1 = solve_spd(M, rhs[:, 0])
+        assert np.linalg.norm(M @ z1 - rhs[:, 0]) <= 1e-12 * np.linalg.norm(rhs[:, 0])
+
+    def test_indefinite_past_the_first_block_reports_minor(self):
+        M = np.eye(100)
+        M[80, 80] = -1.0
+        with pytest.raises(NumericError, match="leading minor"):
+            solve_spd(M, np.ones(100))
+
 
 class TestFitLinear:
     def test_all_labels_one(self, rng):

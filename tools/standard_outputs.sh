@@ -25,11 +25,10 @@ lugsi() {
     PYTHONPATH="$src/src" python3 -m lugsi.cli "$@"
 }
 
-for kernel in linear rbf; do
-    lugsi cv --data wine.csv --kernel "$kernel" --seed 1 --timing zero \
-        --c-grid 0.5,4,64 --delta-grid 0.5,2 \
-        --report-out "cv_$kernel.json" --csv-out "cv_$kernel.csv" > "cv_$kernel.stdout"
-done
+lugsi cv --data wine.csv --kernel linear --seed 1 --timing zero --c-grid 0.5,4,64 \
+    --report-out cv_linear.json --csv-out cv_linear.csv > cv_linear.stdout
+lugsi cv --data wine.csv --kernel rbf --seed 1 --timing zero --c-grid 0.5,4,64 \
+    --delta-grid 0.5,2 --report-out cv_rbf.json --csv-out cv_rbf.csv > cv_rbf.stdout
 
 # 2500 synthetic rows from the checkout's generator, so granules cross the
 # 1024-row Gram blocks of a kernel fit and of kernel scoring
@@ -54,6 +53,8 @@ train rbf wine.csv --clusters 7 --kernel rbf --delta 0.5
 train cro wine.csv --clusters 7 --kernel cro --cro-gamma 0.3
 train empirical wine.csv --clusters 178 --measure empirical
 train rbf_ndc ndc.csv --clusters 7 --kernel rbf
+# a 200 x 200 system: the solve substitutes over several 64-row blocks
+train rbf_ndc_200 ndc.csv --clusters 200 --kernel rbf
 
 lugsi granulate --data wine.csv --clusters 5 --out granulate.csv
 lugsi granulate --data wine.csv --clusters 5 --emit-v --out granulate_v.csv
