@@ -5,21 +5,23 @@ of times with the lowest-error run kept. The restarts stop at a run with
 zero clustering error, since no later run can beat it. The seeding skips
 the rows that a new centre provably cannot move (triangle inequality),
 yet picks exactly the centres of a full update. Every assignment pass
-reuses one pair of l x m distance buffers. Everything is deterministic
-under the seed: assignment ties go to the lowest centroid index, granule
-contributions are ordered by index, and clusters that empty during an
-update are repaired by stealing the point farthest from the empty
-cluster's current centroid.
+fills one reused l x m buffer with the products 2x.c from a single
+matmul, then takes the distances and their argmin in cache-sized row
+blocks. Everything is deterministic under the seed: assignment ties go
+to the lowest centroid index, granule contributions are ordered by
+index, and clusters that empty during an update are repaired by
+stealing the point farthest from the empty cluster's current centroid.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError
-from .kernels import squared_distances
+from .kernels import nearest_centres, row_norms
 from .rng import make_rng
 
 MAX_ITERS = 100
@@ -120,15 +122,19 @@ def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
     return X[chosen].copy()
 
 
-def _assign(X: np.ndarray, centroids: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _assign(
+    X: np.ndarray, centroids: np.ndarray, nearest: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
     """Nearest centroid per row, then give every empty cluster one point.
 
-    `work` is the (2, l, m) buffer `squared_distances` fills. The point
+    `nearest` maps the centroids to each row's nearest index: it is
+    `kernels.nearest_centres` bound to the rows' 2X, their norms and the
+    l x m product buffer, all made once per `kmeans_granulate`. The point
     farthest from the empty cluster's current centroid is moved there,
     skipping points that are the sole member of their own cluster.
     """
     m = centroids.shape[0]
-    assignments = np.argmin(squared_distances(X, centroids, work), axis=1)
+    assignments = nearest(centroids)
     counts = np.bincount(assignments, minlength=m)
     for k in np.flatnonzero(counts == 0):
         dist = np.sum((X - centroids[k]) ** 2, axis=1)
@@ -149,12 +155,16 @@ def _error(X: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> flo
 
 
 def _lloyd(
-    X: np.ndarray, centroids: np.ndarray, work: np.ndarray, error_trace: list | None
+    X: np.ndarray,
+    columns: np.ndarray,
+    centroids: np.ndarray,
+    nearest: Callable[[np.ndarray], np.ndarray],
+    error_trace: list | None,
 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     m = centroids.shape[0]
     assignments = None
     for iterations in range(1, MAX_ITERS + 1):
-        fresh = _assign(X, centroids, work)
+        fresh = _assign(X, centroids, nearest)
         if error_trace is not None:
             error_trace.append(_error(X, centroids, fresh))
         if assignments is not None and np.array_equal(fresh, assignments):
@@ -162,7 +172,7 @@ def _lloyd(
         assignments = fresh
         # each centroid is the mean of its cluster; bincount sums rows in index order
         sums = np.column_stack(
-            [np.bincount(assignments, weights=col, minlength=m) for col in X.T]
+            [np.bincount(assignments, weights=col, minlength=m) for col in columns]
         )
         updated = sums / np.bincount(assignments, minlength=m)[:, None]
         shift = np.max(np.linalg.norm(updated - centroids, axis=1))
@@ -171,10 +181,10 @@ def _lloyd(
             error_trace.append(_error(X, centroids, assignments))
         if shift < TOL:
             # final consistency pass so assignments match the stored centroids
-            assignments = _assign(X, centroids, work)
+            assignments = _assign(X, centroids, nearest)
             break
     else:
-        assignments = _assign(X, centroids, work)
+        assignments = _assign(X, centroids, nearest)
     return assignments, centroids, _error(X, centroids, assignments), iterations
 
 
@@ -194,9 +204,12 @@ def kmeans_granulate(
     seeding prunes rows by the triangle inequality but picks exactly the
     centres a full update would. Each pass stops when the assignments
     repeat, when no centroid moves by TOL or more, or after MAX_ITERS
-    iterations. When an `error_trace` list is supplied (debug aid,
-    meaningful with restarts=1) the per-step clustering errors are
-    appended to it; with restarts > 1 it holds only the runs made.
+    iterations. The rows' 2X, their norms, their C-contiguous transpose
+    (for the centroid sums) and the one l x m product buffer are made once
+    here and shared by every pass of every restart. When an `error_trace`
+    list is supplied (debug aid, meaningful with restarts=1) the per-step
+    clustering errors are appended to it; with restarts > 1 it holds only
+    the runs made.
     """
     if m < 1:
         raise DataError("m must be >= 1")
@@ -207,11 +220,13 @@ def kmeans_granulate(
 
     X = data.features
     rng = make_rng(seed)
-    # the two l x m distance arrays every assignment pass fills, allocated once
-    work = np.empty((2, data.l, m))
+    columns = np.ascontiguousarray(X.T)  # one contiguous row per feature
+    nearest = partial(
+        nearest_centres, doubled=2.0 * X, norms=row_norms(X), products=np.empty((data.l, m))
+    )
     best = None
     for _ in range(restarts):
-        run = _lloyd(X, _seed_centroids(X, m, rng), work, error_trace)
+        run = _lloyd(X, columns, _seed_centroids(X, m, rng), nearest, error_trace)
         if best is None or run[2] < best[2]:
             best = run
         if best[2] == 0.0:
@@ -232,4 +247,5 @@ def assign_to_granules(points: np.ndarray, granulation: Granulation) -> np.ndarr
             f"dimension mismatch: points have {points.shape[1]} columns, "
             f"centroids have {granulation.centroids.shape[1]}"
         )
-    return np.argmin(squared_distances(points, granulation.centroids), axis=1)
+    products = np.empty((points.shape[0], granulation.m))
+    return nearest_centres(granulation.centroids, 2.0 * points, row_norms(points), products)

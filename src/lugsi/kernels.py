@@ -9,6 +9,10 @@ with u the cosine similarity and Phi the standard normal CDF. The CRO
 integrand is singular at rho = 1; substituting rho = sin t turns it into
 the smooth integral of exp(-g^2/(1+sin t)) / (2 pi) over [0, asin(u)],
 which fixed-order Gauss-Legendre quadrature handles deterministically.
+
+Squared distances p.p + c.c - 2 p.c are formed in one place and serve
+both the rbf Gram and the nearest-centre pass of k-means: the products
+come from one matmul, the rest runs in cache-sized row blocks.
 """
 
 import math
@@ -25,6 +29,9 @@ CRO = "cro"
 
 CRO_QUADRATURE_NODES = 64
 CRO_CHUNK_ENTRIES = 1 << 18
+# the row blocks of a squared-distance pass hold about this many entries
+# (512 KB), so the one block buffer stays in L2 while it is reused
+DISTANCE_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,11 +86,11 @@ def _cro_from_cosine(u: np.ndarray, gamma: float, nodes: int) -> np.ndarray:
 
 
 def _cosine_similarity(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    row_norms = np.linalg.norm(rows, axis=1)
-    col_norms = np.linalg.norm(cols, axis=1)
-    if np.any(row_norms == 0.0) or np.any(col_norms == 0.0):
+    row_lengths = np.linalg.norm(rows, axis=1)
+    col_lengths = np.linalg.norm(cols, axis=1)
+    if np.any(row_lengths == 0.0) or np.any(col_lengths == 0.0):
         raise DataError("cro kernel undefined for all-zero vectors")
-    return (rows @ cols.T) / np.outer(row_norms, col_norms)
+    return (rows @ cols.T) / np.outer(row_lengths, col_lengths)
 
 
 def kernel_eval(spec: KernelSpec, x, x2, nodes: int = CRO_QUADRATURE_NODES) -> float:
@@ -101,26 +108,61 @@ def kernel_eval(spec: KernelSpec, x, x2, nodes: int = CRO_QUADRATURE_NODES) -> f
     return float(_cro_from_cosine(np.asarray(u), spec.cro_gamma, nodes))
 
 
-def squared_distances(
-    rows: np.ndarray, cols: np.ndarray, work: np.ndarray | None = None
-) -> np.ndarray:
+def row_norms(points: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm p.p of each row."""
+    return np.einsum("ij,ij->i", points, points)
+
+
+def _distance_blocks(norms: np.ndarray, col_norms: np.ndarray, products: np.ndarray):
+    """Squared distances (p.p + c.c) - 2 p.c, clipped at 0, in row blocks.
+
+    `products` holds every 2 p.c. Yields (rows, block) pairs, where `block`
+    is the distances of those rows in one reused buffer of about
+    DISTANCE_BLOCK_ENTRIES entries. Each entry passes through the same
+    operations in the same order whatever the blocking, so the values are
+    bitwise those of the one-piece formula.
+    """
+    count, width = products.shape
+    step = max(1, DISTANCE_BLOCK_ENTRIES // max(width, 1))
+    buffer = np.empty((min(step, count), width))
+    for start in range(0, count, step):
+        rows = slice(start, min(start + step, count))
+        block = buffer[: rows.stop - start]
+        np.add(norms[rows, None], col_norms, out=block)
+        block -= products[rows]
+        np.maximum(block, 0.0, out=block)
+        yield rows, block
+
+
+def squared_distances(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """All pairwise squared Euclidean distances, rows x cols, clipped at 0.
 
-    Built in place, so at most two rows x cols arrays are alive at once.
-    `work`, a C-contiguous float64 array of shape (2, rows, cols), supplies
-    those two arrays, and the result is then its first slice; the same
-    operations run in the same order, so the values are bitwise the same.
+    The one rows x cols array built holds the products 2 p.c, which are
+    overwritten block by block with the distances.
     """
-    r2 = np.einsum("ij,ij->i", rows, rows)[:, None]
-    c2 = np.einsum("ij,ij->i", cols, cols)[None, :]
-    if work is None:
-        d2 = r2 + c2
-        d2 -= (2.0 * rows) @ cols.T
-    else:
-        d2 = np.add(r2, c2, out=work[0])
-        d2 -= np.matmul(2.0 * rows, cols.T, out=work[1])
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    distances = (2.0 * rows) @ cols.T
+    for block, d2 in _distance_blocks(row_norms(rows), row_norms(cols), distances):
+        distances[block] = d2
+    return distances
+
+
+def nearest_centres(
+    centres: np.ndarray, doubled: np.ndarray, norms: np.ndarray, products: np.ndarray
+) -> np.ndarray:
+    """Index of the nearest centre for each row p; ties go to the lowest index.
+
+    The rows enter as `doubled` (2p) and `norms` (p.p), which a caller that
+    assigns the same rows many times computes once. `products`, a
+    C-contiguous float64 (rows, centres) buffer, receives every 2 p.c from
+    one matmul: a product split into row blocks can change bits under a
+    multi-threaded BLAS, while the blocked elementwise pass and the row-wise
+    argmin cannot. So the indices are those of the one-piece distances.
+    """
+    np.matmul(doubled, centres.T, out=products)
+    nearest = np.empty(len(products), dtype=np.intp)
+    for block, d2 in _distance_blocks(norms, row_norms(centres), products):
+        np.argmin(d2, axis=1, out=nearest[block])
+    return nearest
 
 
 def gram_block(spec: KernelSpec, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

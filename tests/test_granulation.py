@@ -9,7 +9,9 @@ from conftest import random_binary_dataset, traced_peak
 from oracles import best_two_partition_error, reference_kmeans
 
 from lugsi import DataError, Dataset, assign_to_granules, generate_ndc, kmeans_granulate
+from lugsi import kernels
 from lugsi.granulation import Granulation
+from lugsi.kernels import DISTANCE_BLOCK_ENTRIES, squared_distances
 from lugsi.rng import make_rng
 
 
@@ -190,6 +192,49 @@ class TestExactFastKmeans:
         peak = traced_peak(kmeans_granulate, data, m, 3, 1)
         # each assignment pass holds two l x m arrays; a third would pass 2.5
         assert peak < 2.5 * one_array
+
+    def test_assignment_holds_one_product_array(self):
+        l, m = 4000, 250
+        data = generate_ndc(l, 8, 10, seed=3)
+        one_array = l * m * 8
+        peak = traced_peak(kmeans_granulate, data, m, 3, 1)
+        # the products fill one l x m array; the distances live in row blocks
+        assert peak < 1.5 * one_array
+
+
+def multi_block_cases():
+    """(rows, m, block entries): l spans several assignment blocks and ends
+    in a 1-row tail, with rows rounded onto a grid so distances tie at the
+    block edges."""
+    gen = np.random.default_rng(7)
+    cases = [(40, 6, DISTANCE_BLOCK_ENTRIES), (300, 6, DISTANCE_BLOCK_ENTRIES), (9, 2, 5 * 9)]
+    for m, n, entries in cases:
+        step = entries // m
+        X = np.round(gen.random((3 * step + 1, n)) * 3) / 3
+        yield X, m, entries
+
+
+@pytest.mark.parametrize(
+    "X, m, entries", list(multi_block_cases()), ids=["m40", "m300", "m9-small-blocks"]
+)
+class TestMultiBlockAssignment:
+    def test_kmeans_is_bitwise_the_reference(self, monkeypatch, X, m, entries):
+        monkeypatch.setattr(kernels, "DISTANCE_BLOCK_ENTRIES", entries)
+        data = Dataset(X, np.arange(len(X)) % 2)
+        g = kmeans_granulate(data, m, seed=5, restarts=2)
+        assignments, centroids, _, error, iterations = reference_kmeans(X, m, 5, 2)
+        assert g.assignments.tobytes() == assignments.tobytes()
+        assert g.centroids.tobytes() == centroids.tobytes()
+        assert g.clustering_error == error
+        assert g.iterations_run == iterations
+
+    def test_assign_to_granules_is_the_argmin_of_the_distances(self, monkeypatch, X, m, entries):
+        monkeypatch.setattr(kernels, "DISTANCE_BLOCK_ENTRIES", entries)
+        g = kmeans_granulate(Dataset(X, np.arange(len(X)) % 2), m, seed=5, restarts=1)
+        points = np.vstack([X, np.round(np.random.default_rng(8).random(X.shape) * 6) / 6])
+        got = assign_to_granules(points, g)
+        want = np.argmin(squared_distances(points, g.centroids), axis=1)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAssignToGranules:

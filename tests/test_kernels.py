@@ -8,7 +8,12 @@ import pytest
 from conftest import traced_peak
 
 from lugsi import DataError, KernelSpec, gram_block, kernel_eval
-from lugsi.kernels import CRO_CHUNK_ENTRIES, CRO_QUADRATURE_NODES, _cosine_similarity
+from lugsi.kernels import (
+    CRO_CHUNK_ENTRIES,
+    CRO_QUADRATURE_NODES,
+    DISTANCE_BLOCK_ENTRIES,
+    _cosine_similarity,
+)
 
 
 class TestKernelEval:
@@ -137,6 +142,20 @@ class TestGramBlock:
     def test_dimension_mismatch(self):
         with pytest.raises(DataError, match="dimension mismatch"):
             gram_block(KernelSpec("linear"), np.ones((2, 3)), np.ones((2, 4)))
+
+    def test_blocked_rbf_is_bitwise_the_one_piece_formula(self, rng):
+        # 3 distance blocks and a 1-row tail, rows on a grid for ties
+        cols = np.round(rng.random((50, 4)) * 3) / 3
+        rows = np.round(rng.random((3 * (DISTANCE_BLOCK_ENTRIES // 50) + 1, 4)) * 3) / 3
+        d2 = np.einsum("ij,ij->i", rows, rows)[:, None] + np.einsum("ij,ij->i", cols, cols)
+        d2 -= (2.0 * rows) @ cols.T
+        expected = np.exp(np.maximum(d2, 0.0) / (-2.0 * 0.6 * 0.6))
+        assert gram_block(KernelSpec("rbf", delta=0.6), rows, cols).tobytes() == expected.tobytes()
+
+    def test_rbf_holds_one_rows_by_cols_array(self, rng):
+        rows, cols = rng.random((2000, 5)), rng.random((1000, 5))
+        peak = traced_peak(gram_block, KernelSpec("rbf", delta=0.6), rows, cols)
+        assert peak < 1.5 * rows.shape[0] * cols.shape[0] * 8
 
 
 class TestCroChunks:

@@ -58,6 +58,9 @@ train rbf_ndc_200 ndc.csv --clusters 200 --kernel rbf
 
 lugsi granulate --data wine.csv --clusters 5 --out granulate.csv
 lugsi granulate --data wine.csv --clusters 5 --emit-v --out granulate_v.csv
+# 300 granules of 2500 rows: every assignment pass runs over several row
+# blocks of the distances, the last one short
+lugsi granulate --data ndc.csv --clusters 300 --seed 1 --restarts 2 --out granulate_ndc.csv
 
 lugsi bench sizes --sizes 300,600 --timing zero --out bench_sizes.csv
 # a granule-count sweep at one C
