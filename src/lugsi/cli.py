@@ -2,19 +2,21 @@
 
 Subcommands: train, predict, cv, bench, granulate. Every run is fully
 determined by its flags; all randomness flows from --seed. Output files
-carry a config header for provenance and spell every float as its
-shortest round-trip repr, so reruns with identical flags on one host
-produce byte-identical files (for cv/bench pass --timing zero, which also
-drops wall time from the best-configuration tie-break). Across hosts, or
-with another BLAS thread count, the last bits of a product may move.
+carry a config header for provenance: every flag as given, in parser
+order, except output paths; a flag left unset is omitted and its default
+applies. Every float is spelled as its shortest round-trip repr, so
+reruns with identical flags on one host produce byte-identical files (for
+cv/bench pass --timing zero, which also drops wall time from the
+best-configuration tie-break). Across hosts, or with another BLAS thread
+count, the last bits of a product may move.
 
-train builds each granule's invariant from v-values rescaled to a
-per-granule maximum of 1 (normalized_granule_invariants), the weighting
-the cv fold fit uses. On the same rows, train with the flags of a cv
-configuration (--clusters m, --gamma 1/C, --kernel, --delta, --seed,
---restarts, uniform measure) writes exactly the model that the cv fold
-pipeline fits. It prints the objective and gradient_norm, the exact norm
-of the objective's gradient at the returned solution.
+train runs the cv fold pipeline, evaluation.train_fold_pipeline, on all
+rows: each granule's invariant comes from v-values rescaled to a
+per-granule maximum of 1. So train with the flags of a cv configuration
+(--clusters m, --gamma 1/C, --kernel, --delta, --seed, --restarts,
+uniform measure) writes exactly the model that a cv fold fits on the
+same rows. It prints the objective and gradient_norm, the exact norm of
+the objective's gradient at the returned solution.
 
 A granule-count sweep at one C is cv --c-grid C --m-grid m1,m2,...;
 its report gives each m's mean_accuracy and mean_train_seconds.
@@ -28,7 +30,6 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 import argparse
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from .dataset import Dataset, apply_scaling, load_csv, load_sparse, minmax_scale
 from .errors import DataError, NumericError
 from .evaluation import (
     SCALING_DATA_CLUSTERS,
+    CVConfig,
     GridSpec,
     benchmark_scaling,
     default_c_values,
@@ -46,23 +48,22 @@ from .evaluation import (
     grid_search,
     plot_csv_lines,
     report_document,
+    train_fold_pipeline,
 )
 from .granulation import kmeans_granulate
-from .invariants import MeasureSpec, granule_v_vectors, normalized_granule_invariants
+from .invariants import MeasureSpec, granule_v_vectors
 from .kernels import KernelSpec
 from .serialize import csv_line, fmt_float, write_document
-from .solver import (
-    decision_values,
-    fit_kernel_lugsi,
-    fit_linear_lugsi,
-    load_model,
-    save_model,
-)
+from .solver import decision_values, load_model, save_model
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+# parsed entries that shape no output: the output paths and the subcommand routing
+NOT_PROVENANCE = (
+    "out", "model_out", "report_out", "csv_out", "command", "sweep", "handler", "parser"
+)
 
 
 def _add_data_flags(parser: argparse.ArgumentParser) -> None:
@@ -255,9 +256,15 @@ def _output_path(text: str) -> str:
     return text
 
 
-def _write_table(path: str, command: str, pairs, columns: str, rows, trailer=()) -> None:
+def _provenance(args) -> dict:
+    """An output's config header: every flag as given, in parser order, except
+    NOT_PROVENANCE; a flag left at None was not given, and its default applies."""
+    return {k: v for k, v in vars(args).items() if k not in NOT_PROVENANCE and v is not None}
+
+
+def _write_table(path: str, command: str, args, columns: str, rows, trailer=()) -> None:
     """Write a provenance line, the column line, one CSV line per row, then the trailer."""
-    provenance = " ".join(f"{key}={value}" for key, value in pairs)
+    provenance = " ".join(f"{key}={value}" for key, value in _provenance(args).items())
     lines = [f"# lugsi {command} format_version=1 {provenance}", columns]
     lines.extend(csv_line(*row) for row in rows)
     lines.extend(trailer)
@@ -270,20 +277,12 @@ def cmd_train(args, parser) -> int:
     delta = 1.0 if args.delta is None else args.delta
     cro_gamma = _check_kernel_flags(parser, args, (delta,), "--delta")
     data = _load_data(args)
-    scaled, params = minmax_scale(data)
-    started = time.perf_counter()
-    granulation = kmeans_granulate(scaled, args.clusters, args.seed, restarts=args.restarts)
-    if args.measure == "uniform":
-        measure = MeasureSpec.uniform()
-    else:
-        measure = MeasureSpec.empirical(scaled.features)
-    invariants = normalized_granule_invariants(scaled, granulation, measure)
-    if args.kernel == "linear":
-        model, diagnostics = fit_linear_lugsi(scaled, granulation, invariants, gamma, params)
-    else:
-        spec = KernelSpec(kind=args.kernel, delta=delta, cro_gamma=cro_gamma)
-        model, diagnostics = fit_kernel_lugsi(scaled, granulation, invariants, spec, gamma, params)
-    wall = time.perf_counter() - started
+    if args.clusters > data.l:  # the pipeline would clip m to the row count
+        raise DataError(f"m={args.clusters} exceeds the number of samples {data.l}")
+    config = CVConfig(args.kernel, gamma, args.clusters, delta=delta, cro_gamma=cro_gamma)
+    model, diagnostics, wall = train_fold_pipeline(
+        data, config, args.seed, args.restarts, args.measure
+    )
     save_model(model, args.model_out)
     print(f"objective {fmt_float(diagnostics.objective_value)}")
     print(f"gradient_norm {fmt_float(diagnostics.gradient_norm)}")
@@ -299,13 +298,8 @@ def cmd_predict(args, parser) -> int:
     scaled = apply_scaling(data, model.scaling)
     values = decision_values(model, scaled.features)
     labels = (values >= 0.5).astype(np.int64)
-    _write_table(
-        args.out,
-        "predict",
-        [("model", args.model), ("data", args.data)],
-        "index,decision_value,label",
-        ((i, values[i], int(labels[i])) for i in range(values.shape[0])),
-    )
+    rows = ((i, values[i], int(labels[i])) for i in range(values.shape[0]))
+    _write_table(args.out, "predict", args, "index,decision_value,label", rows)
     return EXIT_OK
 
 
@@ -338,16 +332,12 @@ def cmd_cv(args, parser) -> int:
         threads=args.threads,
         time_tiebreak=args.timing == "wall",
     )
-    keys = ("data", "kernel", "folds", "seed", "restarts", "timing")
-    header_pairs = [(key, getattr(args, key)) for key in keys]
-    if args.kernel == "cro":
-        header_pairs.insert(2, ("cro_gamma", cro_gamma))  # right after the kernel
-    doc = {"header": dict(header_pairs)}
+    doc = {"header": _provenance(args)}
     doc.update(report_document(report, timing=args.timing))
     write_document(args.report_out, doc)
     columns, *rows = plot_csv_lines(report, timing=args.timing)
     # plot_csv_lines rows come joined already; a one-field row is written as is.
-    _write_table(args.csv_out, "cv", header_pairs, columns, ((row,) for row in rows))
+    _write_table(args.csv_out, "cv", args, columns, ((row,) for row in rows))
     best = report.best
     print(f"best_mean_accuracy {fmt_float(best.mean_accuracy)}")
     print(
@@ -381,11 +371,10 @@ def cmd_bench_sizes(args, parser) -> int:
             return "NA"
         return fmt_float(0.0 if zero else value)
 
-    keys = ("sizes", "features", "clusters", "gamma", "seed", "restarts", "timing")
     _write_table(
         args.out,
         "bench-sizes",
-        [(key, getattr(args, key)) for key in keys],
+        args,
         "l,granulate_seconds,assembly_seconds,fit_seconds,v_matrix_seconds,accuracy",
         (
             (
@@ -414,14 +403,8 @@ def cmd_granulate(args, parser) -> int:
         rows = ((i, g, values[i]) for i, g in assignments)
     else:
         columns, rows = "sample_index,granule_index", assignments
-    _write_table(
-        args.out,
-        "granulate",
-        [(key, getattr(args, key)) for key in ("data", "clusters", "seed", "restarts", "emit_v")],
-        columns,
-        rows,
-        trailer=[f"# clustering_error={fmt_float(granulation.clustering_error)}"],
-    )
+    trailer = [f"# clustering_error={fmt_float(granulation.clustering_error)}"]
+    _write_table(args.out, "granulate", args, columns, rows, trailer)
     return EXIT_OK
 
 

@@ -6,8 +6,9 @@ applies the frozen scaling to the held-out rows. Grids default to
 C in 2^-8..2^8 (regularizer gamma = 1/C), rbf delta in 2^-4..2^4, and a
 cluster grid {1, 3, 7, l/2, l} for small datasets or {1, 3, 7, l/16, l}
 for l >= 800. Fold fits weight invariants with per-granule normalized
-uniform v-values, as `lugsi train` does, so a configuration chosen here
-is refit by `train` with the same flags.
+uniform v-values; `lugsi train` runs the same pipeline
+(train_fold_pipeline), so a configuration chosen here is refit by `train`
+with the same flags.
 
 One driver evaluates every grid, single configuration and cluster sweep
 in the order fold -> m_eff -> configs, where m_eff = min(m, training fold
@@ -180,39 +181,46 @@ class _GranulatedFold:
     seconds: float
 
 
-def _granulate_fold(scaled: Dataset, params: ScalingParams, m_eff: int, seed: int, restarts: int):
+def _granulate_fold(
+    scaled: Dataset, params: ScalingParams, m_eff: int, seed: int, restarts: int, measure: str
+):
     started = time.perf_counter()
     granulation = kmeans_granulate(scaled, m_eff, seed, restarts=restarts)
-    invariants = normalized_granule_invariants(scaled, granulation, MeasureSpec.uniform())
+    empirical = measure == "empirical"
+    spec = MeasureSpec.empirical(scaled.features) if empirical else MeasureSpec.uniform()
+    invariants = normalized_granule_invariants(scaled, granulation, spec)
     return _GranulatedFold(scaled, params, granulation, invariants, time.perf_counter() - started)
 
 
 def train_fold_pipeline(
-    train: Dataset, config: CVConfig, seed: int, restarts: int = 10
+    train: Dataset, config: CVConfig, seed: int, restarts: int = 10, measure: str = "uniform"
 ):
     """Scale, granulate, build invariants, and fit on training rows only.
 
-    Returns (model, scaling params, train_seconds). The clock covers
-    granulation, invariant construction, and the solve. The evaluation
-    driver passes a training fold it already granulated at
-    min(config.m, l) in place of the raw rows; then only the solve runs,
-    and its time is added to the fold's granulation and invariant time.
+    Returns (model, FitDiagnostics, train_seconds); the scaling params
+    are model.scaling. `measure` is the v-value measure of `lugsi train
+    --measure`: "uniform" on the unit cube, or "empirical" with the scaled
+    training rows as reference. The clock covers granulation, invariant
+    construction, and the solve. The evaluation driver passes a training
+    fold it already granulated at min(config.m, l), with the uniform
+    measure, in place of the raw rows; then only the solve runs, and its
+    time is added to the fold's granulation and invariant time.
     """
     fold = train
     if not isinstance(fold, _GranulatedFold):
         scaled, params = minmax_scale(train)
-        fold = _granulate_fold(scaled, params, min(config.m, train.l), seed, restarts)
+        fold = _granulate_fold(scaled, params, min(config.m, train.l), seed, restarts, measure)
     started = time.perf_counter()
     kernel = config.kernel_spec()
     if kernel is None:
-        model, _ = fit_linear_lugsi(
+        model, diagnostics = fit_linear_lugsi(
             fold.scaled, fold.granulation, fold.invariants, config.gamma, fold.params
         )
     else:
-        model, _ = fit_kernel_lugsi(
+        model, diagnostics = fit_kernel_lugsi(
             fold.scaled, fold.granulation, fold.invariants, kernel, config.gamma, fold.params
         )
-    return model, fold.params, fold.seconds + time.perf_counter() - started
+    return model, diagnostics, fold.seconds + time.perf_counter() - started
 
 
 def _units(data: Dataset, configs, folds: int, seed: int, restarts: int):
@@ -238,7 +246,7 @@ def _evaluate_unit(unit) -> list:
     """Granulate one (fold, m_eff) once, then fit and score each of its
     configs; returns (config index, FoldResult) pairs."""
     fold, scaled, params, scaled_test, test_idx, m_eff, members, seed, restarts = unit
-    granulated = _granulate_fold(scaled, params, m_eff, seed, restarts)
+    granulated = _granulate_fold(scaled, params, m_eff, seed, restarts, "uniform")
     out = []
     for index, config in members:
         # the one fold-fit path, so a traced grid still records one fold fit per (config, fold)

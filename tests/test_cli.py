@@ -65,6 +65,17 @@ def train_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def model_json(tmp_path, train_csv):
+    """A linear model fitted on `train_csv`, saved as a model file."""
+    model, _, _ = train_fold_pipeline(
+        load_csv(train_csv), CVConfig("linear", gamma=0.1, m=3), seed=2, restarts=2
+    )
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    return path
+
+
 class TestTrain:
     def test_writes_model_and_diagnostics(self, tmp_path, train_csv):
         out = tmp_path / "model.json"
@@ -93,6 +104,16 @@ class TestTrain:
         )
         assert result.returncode == 2
         assert "m must be >= 1" in result.stderr
+
+    def test_more_clusters_than_rows_is_data_error(self, tmp_path, train_csv):
+        # a cv fold clips m to its row count; train refuses it and writes nothing
+        model = tmp_path / "m.json"
+        result = run_cli(
+            "train", "--data", str(train_csv), "--model-out", str(model), "--clusters", "31"
+        )
+        assert result.returncode == 3
+        assert result.stderr == "data error: m=31 exceeds the number of samples 30\n"
+        assert not model.exists()
 
     def test_gamma_cost_conflict(self, tmp_path, train_csv):
         result = run_cli(
@@ -193,23 +214,28 @@ class TestPredict:
         # same flags, and `predict` must reproduce its decision values from
         # the saved model; 17-digit floats round-trip, so compare bitwise.
         cases = [
-            ("linear", [], CVConfig("linear", gamma=0.1, m=3)),
-            ("rbf", ["--delta", "0.5"], CVConfig("rbf", gamma=0.1, m=3, delta=0.5)),
+            ("linear", ["--kernel", "linear"], CVConfig("linear", gamma=0.1, m=3), "uniform"),
+            ("rbf", ["--kernel", "rbf", "--delta", "0.5"],
+             CVConfig("rbf", gamma=0.1, m=3, delta=0.5), "uniform"),
+            ("empirical", ["--measure", "empirical"],
+             CVConfig("linear", gamma=0.1, m=3), "empirical"),
+            ("cro", ["--kernel", "cro", "--cro-gamma", "0.3"],
+             CVConfig("cro", gamma=0.1, m=3, cro_gamma=0.3), "uniform"),
         ]
         data = load_csv(train_csv)
-        for kernel, kernel_flags, config in cases:
-            model_path = tmp_path / f"{kernel}.json"
+        values = {}
+        for name, flags, config, measure in cases:
+            model_path = tmp_path / f"{name}.json"
             trained = run_cli(
                 "train", "--data", str(train_csv), "--model-out", str(model_path),
-                "--clusters", "3", "--seed", "2", "--gamma", "0.1",
-                "--kernel", kernel, *kernel_flags,
+                "--clusters", "3", "--seed", "2", "--gamma", "0.1", *flags,
             )
             assert trained.returncode == 0, trained.stderr
-            out = tmp_path / f"{kernel}.csv"
+            out = tmp_path / f"{name}.csv"
             result = run_cli("predict", "--model", str(model_path), "--data", str(train_csv), "--out", str(out))
             assert result.returncode == 0, result.stderr
 
-            model, _, _ = train_fold_pipeline(data, config, seed=2, restarts=10)
+            model, _, _ = train_fold_pipeline(data, config, seed=2, restarts=10, measure=measure)
             features = apply_scaling(data, model.scaling).features
             expected_values = decision_values(model, features)
             expected_labels = predict_labels(model, features)
@@ -218,9 +244,12 @@ class TestPredict:
             assert rows[0] == "index,decision_value,label"
             got_values = np.array([float(line.split(",")[1]) for line in rows[1:]])
             got_labels = np.array([int(line.split(",")[2]) for line in rows[1:]])
-            np.testing.assert_array_equal(got_values, expected_values, err_msg=kernel)
-            assert got_values.tobytes() == expected_values.tobytes(), kernel
-            np.testing.assert_array_equal(got_labels, expected_labels, err_msg=kernel)
+            np.testing.assert_array_equal(got_values, expected_values, err_msg=name)
+            assert got_values.tobytes() == expected_values.tobytes(), name
+            np.testing.assert_array_equal(got_labels, expected_labels, err_msg=name)
+            values[name] = got_values.tobytes()
+        # --measure reaches the invariants: same flags otherwise, another model
+        assert values["empirical"] != values["linear"]
 
     def test_all_ones_model_predicts_ones(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -618,19 +647,20 @@ def test_csv_layouts(tmp_path, train_csv):
         result = run_cli(*args)
         assert result.returncode == 0, result.stderr
     expected = {
-        "predict": (f"# lugsi predict format_version=1 model={model} data={data}",
+        "predict": (f"# lugsi predict format_version=1 data={data} format=csv has_header=False "
+                    f"model={model}",
                     "index,decision_value,label"),
-        "cv": (f"# lugsi cv format_version=1 data={data} kernel=linear folds=3 seed=0 restarts=10 "
-               "timing=zero",
+        "cv": (f"# lugsi cv format_version=1 data={data} format=csv has_header=False kernel=linear "
+               "c_grid=1 m_grid=2 folds=3 seed=0 restarts=10 threads=1 timing=zero",
                "c,delta,m,fold,acc,train_seconds"),
         "sizes": ("# lugsi bench-sizes format_version=1 sizes=200 features=3 clusters=4 gamma=1.0 "
                   "seed=1 restarts=2 timing=zero",
                   "l,granulate_seconds,assembly_seconds,fit_seconds,v_matrix_seconds,accuracy"),
-        "gran": (f"# lugsi granulate format_version=1 data={data} clusters=2 seed=0 restarts=10 "
-                 "emit_v=False",
+        "gran": (f"# lugsi granulate format_version=1 data={data} format=csv has_header=False "
+                 "clusters=2 seed=0 restarts=10 emit_v=False",
                  "sample_index,granule_index"),
-        "granv": (f"# lugsi granulate format_version=1 data={data} clusters=2 seed=0 restarts=10 "
-                  "emit_v=True",
+        "granv": (f"# lugsi granulate format_version=1 data={data} format=csv has_header=False "
+                  "clusters=2 seed=0 restarts=10 emit_v=True",
                   "sample_index,granule_index,v_value"),
     }
     for name, (first, columns) in expected.items():
@@ -657,11 +687,14 @@ def test_csv_layouts(tmp_path, train_csv):
         (["cv", "--c-grid", "1", "--m-grid", "2", "--folds", "3"], ["--restarts", "3"]),
         (["cv", "--kernel", "cro", "--c-grid", "1", "--m-grid", "2", "--folds", "3"],
          ["--cro-gamma", "0.5"]),
+        (["cv", "--c-grid", "1", "--m-grid", "2", "--folds", "3"], ["--label-column", "3"]),
+        (["granulate", "--clusters", "2"], ["--has-header"]),
+        (["predict"], ["--has-header"]),
     ],
     ids=["bench_sizes_gamma", "bench_sizes_restarts", "granulate_restarts", "cv_restarts",
-         "cv_cro_gamma"],
+         "cv_cro_gamma", "cv_label_column", "granulate_has_header", "predict_has_header"],
 )
-def test_provenance_names_flags_that_shape_the_result(tmp_path, train_csv, args, flags):
+def test_provenance_names_flags_that_shape_the_result(tmp_path, train_csv, model_json, args, flags):
     """Two runs that differ only in `flags` write different provenance headers:
     the first CSV line, and for cv also the report's `header`."""
     headers = []
@@ -671,6 +704,7 @@ def test_provenance_names_flags_that_shape_the_result(tmp_path, train_csv, args,
             "bench": ["--out", str(csv_out)],
             "granulate": ["--data", str(train_csv), "--out", str(csv_out)],
             "cv": ["--data", str(train_csv), "--report-out", str(report), "--csv-out", str(csv_out)],
+            "predict": ["--data", str(train_csv), "--model", str(model_json), "--out", str(csv_out)],
         }[args[0]]
         result = run_cli(*args, *extra, *outputs)
         assert result.returncode == 0, result.stderr

@@ -120,12 +120,9 @@ class TestCrossValidate:
         features[test_idx] += 100.0  # move fold-0 test rows far outside
         moved = Dataset(features, base.labels)
         config = CVConfig("linear", gamma=0.3, m=4)
-        model_a, params_a, _ = train_fold_pipeline(
-            base.subset(plan.train_indices(0)), config, seed=2
-        )
-        model_b, params_b, _ = train_fold_pipeline(
-            moved.subset(plan.train_indices(0)), config, seed=2
-        )
+        model_a, _, _ = train_fold_pipeline(base.subset(plan.train_indices(0)), config, seed=2)
+        model_b, _, _ = train_fold_pipeline(moved.subset(plan.train_indices(0)), config, seed=2)
+        params_a, params_b = model_a.scaling, model_b.scaling
         assert params_a.minimum.tobytes() == params_b.minimum.tobytes()
         assert params_a.maximum.tobytes() == params_b.maximum.tobytes()
         assert dump_document(model_document(model_a)) == dump_document(model_document(model_b))
@@ -215,10 +212,8 @@ class TestGridSearch:
                 for fr in result.fold_results:
                     train = data.subset(plan.train_indices(fr.fold))
                     test = data.subset(plan.test_indices(fr.fold))
-                    model, params, _ = train_fold_pipeline(
-                        train, result.config, grid.seed, restarts=3
-                    )
-                    expected = predict_labels(model, apply_scaling(test, params).features)
+                    model, _, _ = train_fold_pipeline(train, result.config, grid.seed, restarts=3)
+                    expected = predict_labels(model, apply_scaling(test, model.scaling).features)
                     assert fr.predictions.tobytes() == expected.tobytes()
                     assert fr.accuracy == accuracy(expected, test.labels)
                     assert fr.m_effective == min(result.config.m, 12)
