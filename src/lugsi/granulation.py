@@ -74,7 +74,8 @@ class Granulation:
 
     @cached_property
     def granule_members(self) -> tuple:
-        """One ascending, read-only index array per granule: views of `order`."""
+        """One ascending, read-only index array per granule: views of `order`.
+        The package reads `order` and `ends`; tests check against this split."""
         return tuple(np.split(self.order, self.ends[:-1]))
 
 

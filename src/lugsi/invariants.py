@@ -8,11 +8,12 @@ fraction of reference points that are >= the sample in every coordinate
 
 Each granule's v entries form a vector v_k whose outer product v_k v_k^T
 is that granule's rank-one invariant matrix. Solvers never materialize
-the outer product. Each builder returns one GranuleWeights: the
-per-granule v_k and targets v_k^T Y_k, and the same joined once in the
-granulation's `order` layout, which is all the solver reads.
+the outer product. Each builder returns one GranuleWeights: the v
+entries in the granulation's `order` layout, taken with one gather, and
+per-granule sums s_k = v_k^T 1 and targets t_k = v_k^T Y_k.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,42 +61,43 @@ class MeasureSpec:
         return cls(EMPIRICAL, np.asarray(reference_points, dtype=np.float64))
 
 
+# one granule's v vector, a view of `GranuleWeights.v`, and its target v^T Y_k
+GranuleInvariant = namedtuple("GranuleInvariant", "v target")
+
+
 @dataclass(frozen=True)
-class GranuleInvariant:
-    """One granule's v vector and its invariant target v^T Y_k."""
+class GranuleWeights:
+    """The v entries of every granule, joined in granule order, as read-only
+    arrays: granule k's v_k is v[ends[k-1]:ends[k]] (from 0 for k = 0), `s`
+    holds the sums v_k^T 1 and `t` the targets v_k^T Y_k.
 
-    v: np.ndarray
-    target: float
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise DataError("v must be a nonempty vector")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise DataError("v entries must lie in [0,1]")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "target", float(self.target))
-
-
-class GranuleWeights(tuple):
-    """A tuple of GranuleInvariant in granule order, joined once into
-    read-only arrays: `v` (concatenated), `ends` (cumulative sizes), `s`
-    (sums v_k^T 1) and `t` (targets). Given a GranuleWeights, returns it.
+    `len`, indexing by granule and iteration give GranuleInvariant items.
     """
 
-    def __new__(cls, invariants):
-        if isinstance(invariants, GranuleWeights):
-            return invariants
-        self = super().__new__(cls, invariants)
-        self.v = np.concatenate([np.empty(0), *(inv.v for inv in self)])
-        self.ends = np.cumsum([inv.v.size for inv in self], dtype=np.int64)
-        self.s = np.array([inv.v.sum() for inv in self], dtype=np.float64)
-        self.t = np.array([inv.target for inv in self], dtype=np.float64)
-        for arr in (self.v, self.ends, self.s, self.t):
+    v: np.ndarray
+    ends: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+
+    def __post_init__(self):
+        for name in ("v", "ends", "s", "t"):
+            arr = np.array(getattr(self, name), dtype=np.int64 if name == "ends" else np.float64)
             arr.flags.writeable = False
-        return self
+            object.__setattr__(self, name, arr)
+        v, ends = self.v, self.ends
+        if ends.ndim != 1 or not ends.size or np.any(np.diff(ends, prepend=0) < 1) \
+                or v.shape != (ends[-1],) or not self.s.shape == self.t.shape == ends.shape:
+            raise DataError("need one nonempty v vector, sum and target per granule")
+        if np.any(v < 0.0) or np.any(v > 1.0):
+            raise DataError("v entries must lie in [0,1]")
+
+    def __len__(self) -> int:
+        return self.ends.size
+
+    def __getitem__(self, k: int) -> GranuleInvariant:
+        k = range(len(self))[k]
+        lo = self.ends[k - 1] if k else 0
+        return GranuleInvariant(self.v[lo:self.ends[k]], float(self.t[k]))
 
 
 def _require_unit_cube(points: np.ndarray) -> None:
@@ -132,29 +134,37 @@ def v_value(point, measure: MeasureSpec) -> float:
 
 
 def _granule_invariants(
-    data: Dataset, granulation: Granulation, measure: MeasureSpec | None, weight
+    data: Dataset, granulation: Granulation, measure: MeasureSpec | None, normalize: bool
 ) -> GranuleWeights:
-    """One GranuleInvariant per granule, v entries ordered by member index.
-
-    `weight(values, members)` maps a granule's v-values under `measure`
-    (ones when the measure is None) to its v vector; the target is v^T Y_k.
-    """
+    """The one weight builder: the v-values under `measure` (ones for None)
+    in `order` layout by one gather, each granule rescaled to maximum 1 if
+    `normalize`, then s_k and t_k summed per granule slice."""
     if granulation.assignments.shape[0] != data.l:
         raise DataError("granulation does not match the dataset")
-    values = np.ones(data.l) if measure is None else _v_values(data.features, measure)
-    labels = data.labels.astype(np.float64)
-    out = []
-    for members in granulation.granule_members:
-        v = weight(values[members], members)
-        out.append(GranuleInvariant(v, float(v @ labels[members])))
-    return GranuleWeights(out)
+    order, ends = granulation.order, granulation.ends
+    starts = np.append(0, ends[:-1])
+    v = np.ones(data.l) if measure is None else _v_values(data.features, measure)[order]
+    if normalize:
+        top = np.maximum.reduceat(v, starts)
+        v /= np.repeat(np.where(top > 0.0, top, 1.0), ends - starts)
+        underflow = (top < np.finfo(np.float64).tiny) & (measure.kind == UNIFORM_UNIT_CUBE)
+        for lo, hi in zip(starts[underflow].tolist(), ends[underflow].tolist()):
+            with np.errstate(divide="ignore"):
+                log_v = np.log1p(-data.features[order[lo:hi]]).sum(axis=1)
+            if np.isfinite(log_v.max()):
+                v[lo:hi] = np.exp(log_v - log_v.max())
+    y = data.labels[order].astype(np.float64)
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    s = [v[lo:hi].sum() for lo, hi in bounds]
+    t = [v[lo:hi] @ y[lo:hi] for lo, hi in bounds]
+    return GranuleWeights(v, ends, s, t)
 
 
 def granule_v_vectors(
     data: Dataset, granulation: Granulation, measure: MeasureSpec
 ) -> GranuleWeights:
-    """One GranuleInvariant per granule, v entries ordered by member index."""
-    return _granule_invariants(data, granulation, measure, lambda v, _: v)
+    """Each granule's raw v-values, entries ordered by member index."""
+    return _granule_invariants(data, granulation, measure, False)
 
 
 def normalized_granule_invariants(
@@ -176,17 +186,7 @@ def normalized_granule_invariants(
     is not the identity-weighted (LSSVM) mode, which
     `unit_granule_invariants` gives.
     """
-
-    def weight(v, members):
-        top = v.max()
-        if measure.kind == UNIFORM_UNIT_CUBE and top < np.finfo(np.float64).tiny:
-            with np.errstate(divide="ignore"):
-                log_v = np.log1p(-data.features[members]).sum(axis=1)
-            if np.isfinite(log_v.max()):
-                return np.exp(log_v - log_v.max())
-        return v / top if top > 0.0 else v
-
-    return _granule_invariants(data, granulation, measure, weight)
+    return _granule_invariants(data, granulation, measure, True)
 
 
 def unit_granule_invariants(data: Dataset, granulation: Granulation) -> GranuleWeights:
@@ -195,7 +195,7 @@ def unit_granule_invariants(data: Dataset, granulation: Granulation) -> GranuleW
     This is the measure-independent switch that turns the granulated
     model into a plain least-squares one when granules are singletons.
     """
-    return _granule_invariants(data, granulation, None, lambda v, _: v)
+    return _granule_invariants(data, granulation, None, False)
 
 
 def v_matrix(data: Dataset, measure: MeasureSpec) -> np.ndarray:

@@ -22,9 +22,9 @@ then block substitution), so the package loads a single BLAS.
 All four modes solve these normal equations in one core, `_closed_form`,
 which takes a design D, a bias column, targets and an optional weight
 matrix W (None for the identity). The granulated linear and kernel fits
-read v, s and t as joined once per `GranuleWeights` and pass (P, s, t),
-since sum_k v_k v_k^T weighting of the full design is the identity
-weighting of P. `fit_lssvm` is the identity-weighted degenerate mode
+read the joined v, s and t arrays of a `GranuleWeights` and pass
+(P, s, t), since sum_k v_k v_k^T weighting of the full design is the
+identity weighting of P. `fit_lssvm` is the identity-weighted degenerate mode
 (singleton granules, unit predicates): it passes (D, 1, Y) with m = l,
 so its effective regularizer is gamma * l.
 `fit_vsvm` keeps the dense reference construction for cross-checks: it
@@ -45,7 +45,7 @@ import numpy as np
 from .dataset import Dataset, ScalingParams
 from .errors import DataError, LugsiError, NumericError, check_array_entries
 from .granulation import Granulation
-from .invariants import GranuleInvariant, GranuleWeights
+from .invariants import GranuleWeights
 from .kernels import KernelSpec, gram_block
 from .serialize import load_document, write_document
 
@@ -300,19 +300,18 @@ def _design_rows(data, granulation, weights, kernel) -> np.ndarray:
 def _granulated_fit(
     data: Dataset,
     granulation: Granulation,
-    invariants: GranuleWeights | list[GranuleInvariant],
+    weights: GranuleWeights,
     kernel: KernelSpec | None,
     gamma: float,
     scaling: ScalingParams | None,
 ):
     """Rank-one fit with one invariant per granule, in granule-index order.
 
-    Reads the joined layout of `GranuleWeights(invariants)`: row k of P is
-    design_k^T v_k (`_design_rows`), and s and t are the weights' own.
+    Row k of P is design_k^T v_k (`_design_rows`) from the joined `weights.v`,
+    and s and t are the weights' own; their `ends` must be the granulation's.
     """
     if granulation.assignments.shape[0] != data.l:
         raise DataError("granulation does not match the dataset")
-    weights = GranuleWeights(invariants)
     if not np.array_equal(weights.ends, granulation.ends):
         raise DataError("need one GranuleInvariant per granule, as long as the granule")
     P = _design_rows(data, granulation, weights.v, kernel)
@@ -324,11 +323,11 @@ def _granulated_fit(
 def fit_linear_lugsi(
     data: Dataset,
     granulation: Granulation,
-    invariants: GranuleWeights | list[GranuleInvariant],
+    invariants: GranuleWeights,
     gamma: float,
     scaling: ScalingParams | None = None,
 ) -> tuple[LinearModel, FitDiagnostics]:
-    """Closed-form linear fit from per-granule rank-one invariants.
+    """Closed-form linear fit from `GranuleWeights`: one rank-one invariant per granule.
 
     Solves (sum_k u_k u_k^T + gamma*m*I) applied to the two right-hand
     sides sum_k t_k u_k and sum_k s_k u_k, then recovers the bias from
@@ -341,12 +340,12 @@ def fit_linear_lugsi(
 def fit_kernel_lugsi(
     data: Dataset,
     granulation: Granulation,
-    invariants: GranuleWeights | list[GranuleInvariant],
+    invariants: GranuleWeights,
     kernel: KernelSpec,
     gamma: float,
     scaling: ScalingParams | None = None,
 ) -> tuple[KernelModel, FitDiagnostics]:
-    """Kernel-space analogue of the linear fit.
+    """Kernel-space analogue of the linear fit, from the same `GranuleWeights`.
 
     The compressed vectors q_k = K_k^T v_k against the full training set
     are accumulated from Gram blocks of about `ROW_BLOCK` rows, and with

@@ -76,6 +76,40 @@ def explicit_objective_kernel(K, y, granule_members, v_vectors, gamma, A, c):
     return total + gamma * m * float(A @ A)
 
 
+def reference_granule_weights(X, y, granule_members, kind, references=None):
+    """The weight builders as first written: one granule at a time.
+
+    `kind` is "raw", "normalized" or "unit", and `references` None means
+    the uniform measure on the unit cube. A normalized granule is divided
+    by its maximum, or, under the uniform measure when that maximum is
+    below the smallest normal float, set to exp(log v - max log v) if
+    that is finite. Returns the joined (v, ends, s, t).
+    """
+    if kind == "unit":
+        values = np.ones(len(X))
+    elif references is None:
+        values = np.prod(1.0 - X, axis=1)
+    else:
+        dominates = np.all(references[:, None, :] >= X[None], axis=2)
+        values = dominates.sum(axis=0) / len(references)
+    normalize = kind == "normalized"
+
+    def weight(v, members):
+        top = v.max()
+        if normalize and references is None and top < np.finfo(np.float64).tiny:
+            with np.errstate(divide="ignore"):
+                log_v = np.log1p(-X[members]).sum(axis=1)
+            if np.isfinite(log_v.max()):
+                return np.exp(log_v - log_v.max())
+        return v / top if normalize and top > 0.0 else v
+
+    labels = y.astype(np.float64)
+    vs = [weight(values[members], members) for members in granule_members]
+    targets = [float(v @ labels[members]) for v, members in zip(vs, granule_members)]
+    ends = np.cumsum([v.size for v in vs])
+    return np.concatenate(vs), ends, np.array([v.sum() for v in vs]), np.array(targets)
+
+
 def fd_gradient_norm(objective, theta, h=1e-6):
     """Per-coordinate central differences of a scalar objective."""
     theta = np.asarray(theta, dtype=float)

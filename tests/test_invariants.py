@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_binary_dataset, singleton_granulation, traced_peak
-from oracles import domination_fraction, mc_pair_integral
+from oracles import domination_fraction, mc_pair_integral, reference_granule_weights
 
 from lugsi import (
     DataError,
@@ -191,6 +191,57 @@ class TestNormalizedGranuleInvariants:
         assert invs[1].v.max() == 1.0 and invs[1].v.min() < 0.5
         for members, inv in zip(g.granule_members, invs):
             assert inv.target == float(inv.v @ labels[members].astype(np.float64))
+
+
+def _granulation(assignments, features):
+    m = int(assignments.max()) + 1
+    return Granulation(assignments, np.zeros((m, features.shape[1])), 0.0, 1, 0)
+
+
+def _oracle_case(case):
+    """(data, granulation) for one builder-oracle case: a random one, or the
+    all-zero-granule and underflow fixtures of TestNormalizedGranuleInvariants."""
+    gen = np.random.default_rng(case if isinstance(case, int) else 41)
+    if case == "all_zero_granule":
+        features = np.array([[1.0, 0.2], [1.0, 0.7], [0.1, 0.3], [0.4, 0.5]])
+        data = Dataset(features, np.array([1, 1, 0, 1]))
+        return data, _granulation(np.array([0, 0, 1, 1]), features)
+    if case == "underflow":
+        n = 1200
+        features = np.vstack([
+            1e-4 * gen.random((6, n)),
+            0.45 + 0.05 * gen.random((8, n)),
+            0.45 + 0.05 * gen.random((5, n)),
+            0.2 + 0.05 * gen.random((3, n)),
+        ])
+        features = np.minimum(features, np.nextafter(0.5, 0.0))
+        data = Dataset(features, gen.integers(0, 2, features.shape[0]))
+        return data, _granulation(np.repeat([0, 1, 2], [6, 8, 8]), features)
+    l, n = int(gen.integers(2, 150)), int(gen.integers(1, 7))
+    m = l if case % 5 == 0 else int(gen.integers(1, l + 1))
+    data = random_binary_dataset(gen, l, n)
+    if case % 2:  # rows at a feature maximum have uniform v-value 0
+        data, _ = minmax_scale(data)
+    # every granule nonempty, sizes uneven, members spread over the rows
+    assignments = gen.permutation(np.concatenate([np.arange(m), gen.integers(0, m, l - m)]))
+    return data, _granulation(assignments, data.features)
+
+
+@pytest.mark.parametrize("case", [*range(40), "all_zero_granule", "underflow"])
+def test_builders_equal_the_per_granule_oracle_bitwise(case):
+    data, g = _oracle_case(case)
+    X, y = data.features, data.labels
+    for references in (None, X):
+        measure = MeasureSpec.uniform() if references is None else MeasureSpec.empirical(X)
+        for kind, weights in (
+            ("raw", granule_v_vectors(data, g, measure)),
+            ("normalized", normalized_granule_invariants(data, g, measure)),
+            ("unit", unit_granule_invariants(data, g)),
+        ):
+            expected = reference_granule_weights(X, y, g.granule_members, kind, references)
+            for name, want in zip(("v", "ends", "s", "t"), expected):
+                got = getattr(weights, name)
+                assert got.tobytes() == np.asarray(want, dtype=got.dtype).tobytes(), (kind, name)
 
 
 class TestVMatrix:

@@ -22,6 +22,7 @@ from oracles import (
 from lugsi import (
     DataError,
     Dataset,
+    Granulation,
     GranuleInvariant,
     GranuleWeights,
     KernelSpec,
@@ -216,9 +217,10 @@ class TestFitLinear:
                 fit(gamma)
 
     def test_misaligned_invariants_rejected(self):
-        data, g, invs, _, _ = fitted_linear(15)
+        data, g, _, _, _ = fitted_linear(15)
+        fewer = kmeans_granulate(data, g.m - 1, seed=15)
         with pytest.raises(DataError):
-            fit_linear_lugsi(data, g, invs[:-1], gamma=0.1)
+            fit_linear_lugsi(data, g, granule_v_vectors(data, fewer, MeasureSpec.uniform()), 0.1)
 
     @pytest.mark.parametrize("case", ["other_dataset", "one_invariant_too_few", "wrong_length"])
     def test_invariants_must_fit_the_granulation(self, case):
@@ -228,9 +230,15 @@ class TestFitLinear:
             data = random_binary_dataset(np.random.default_rng(20), data.l + 1, data.n)
             message = "granulation does not match the dataset"
         elif case == "one_invariant_too_few":
-            invs = invs[:-1]
+            # the weights of another granulation of the same rows
+            other = kmeans_granulate(data, g.m - 1, seed=19)
+            invs = granule_v_vectors(data, other, MeasureSpec.uniform())
         else:
-            invs = [GranuleInvariant(np.append(invs[0].v, 0.5), invs[0].target), *invs[1:]]
+            moved = g.assignments.copy()
+            moved[g.order[-1]] = 0  # the same m, one granule longer and one shorter
+            other = Granulation(moved, g.centroids, 0.0, 1, 0)
+            assert other.m == g.m and not np.array_equal(other.ends, g.ends)
+            invs = granule_v_vectors(data, other, MeasureSpec.uniform())
         with pytest.raises(DataError, match=message):
             fit_linear_lugsi(data, g, invs, gamma=0.1)
 
@@ -542,27 +550,30 @@ class TestSolveSides:
 
 
 class TestGranuleWeights:
-    """The builders' joined layout and a plain list of its items fit alike."""
+    """The builders' joined arrays and the per-granule items agree."""
 
-    def test_joined_arrays_and_both_input_forms_agree(self):
+    def test_joined_arrays_and_items_agree(self):
         data = random_binary_dataset(np.random.default_rng(31), ROW_BLOCK + 300, 3)
         g = kmeans_granulate(data, 7, seed=31)
         weights = normalized_granule_invariants(data, g, MeasureSpec.uniform())
         assert isinstance(weights, GranuleWeights)
-        assert GranuleWeights(weights) is weights
+        assert len(weights) == g.m
         np.testing.assert_array_equal(weights.ends, g.ends)
         for k, inv in enumerate(weights):
+            assert isinstance(inv, GranuleInvariant)
             assert weights.s[k].tobytes() == inv.v.sum().tobytes()
             assert weights.t[k] == inv.target
         assert weights.v.tobytes() == np.concatenate([inv.v for inv in weights]).tobytes()
-        rebuilt = [GranuleInvariant(inv.v, inv.target) for inv in weights]
-        spec = KernelSpec("rbf", delta=1.0)
-        for fit in (
-            lambda invs: fit_linear_lugsi(data, g, invs, 0.3),
-            lambda invs: fit_kernel_lugsi(data, g, invs, spec, 0.3),
-        ):
-            first, second = fit(weights)[0], fit(rebuilt)[0]
-            assert dump_document(model_document(first)) == dump_document(model_document(second))
+
+    def test_hand_built_weights_are_checked(self):
+        v, ends, s, t = np.array([0.5, 0.25, 1.0]), np.array([1, 3]), [0.5, 1.25], [0.0, 1.0]
+        for bad in (-0.25, 1.5):
+            with pytest.raises(DataError, match=r"v entries must lie in \[0,1\]"):
+                GranuleWeights(np.array([0.5, bad, 1.0]), ends, s, t)
+        for args in ((v, [1, 4], s, t), (v, [0, 3], s, t), (v, ends, s[:1], t)):
+            with pytest.raises(DataError, match="need one nonempty v vector"):
+                GranuleWeights(*args)
+        assert [inv.target for inv in GranuleWeights(v, ends, s, t)] == t
 
 
 class TestKernelBlocks:

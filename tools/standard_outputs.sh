@@ -55,6 +55,8 @@ train empirical wine.csv --clusters 178 --measure empirical
 train rbf_ndc ndc.csv --clusters 7 --kernel rbf
 # a 200 x 200 system: the solve substitutes over several 64-row blocks
 train rbf_ndc_200 ndc.csv --clusters 200 --kernel rbf
+# a byte-gated linear fit over 300 uneven granules of 2500 rows
+train linear_ndc_300 ndc.csv --clusters 300 --restarts 2
 
 lugsi granulate --data wine.csv --clusters 5 --out granulate.csv
 lugsi granulate --data wine.csv --clusters 5 --emit-v --out granulate_v.csv
