@@ -11,13 +11,17 @@ uniform v-values; `lugsi train` runs the same pipeline
 with the same flags.
 
 One driver evaluates every grid, single configuration and cluster sweep
-in the order fold -> m_eff -> configs, where m_eff = min(m, training fold
-size). Granulation and invariants depend only on (fold, m_eff, seed,
-restarts), so they run once per such unit and are shared by all of its
-(C, delta) points. A configuration's reported train time on a fold is
-its unit's granulation and invariant time plus its own closed-form solve
-time: the time to train that configuration from scratch on the fold, so
-mean train times stay comparable across m for the wall-time tie-break.
+in the order fold -> m_eff -> kernel system -> configs, where
+m_eff = min(m, training fold size). Granulation and invariants depend
+only on (fold, m_eff, seed, restarts), so they run once per such unit and
+are shared by all of its (C, delta) points. The system a fit solves (P
+and the weights' s and t) depends on the unit and the kernel spec (delta)
+but not on C, so each unit builds it once per delta and solves it at every
+C. A configuration's reported train time on a fold is its unit's
+granulation and invariant time, plus its delta's system build, plus its
+own closed-form solve time: the time to train that configuration from
+scratch on the fold, so mean train times stay comparable across m for the
+wall-time tie-break.
 """
 
 import math
@@ -35,7 +39,10 @@ from .invariants import (
     GranuleWeights, MeasureSpec, granule_v_vectors, normalized_granule_invariants, v_matrix,
 )
 from .kernels import KernelSpec
-from .solver import fit_kernel_lugsi, fit_linear_lugsi, predict_labels
+from .solver import (
+    GranulatedSystem, check_kernel_fit_size, fit_kernel_lugsi, fit_linear_lugsi, granulated_system,
+    predict_labels,
+)
 
 SMALL_DATASET_LIMIT = 800
 # blobs in the synthetic data of benchmark_scaling
@@ -171,14 +178,16 @@ def accuracy(predicted, actual) -> float:
 
 @dataclass(frozen=True)
 class _GranulatedFold:
-    """A scaled training fold granulated at one m, with its invariants;
-    `seconds` is the wall time of granulation and invariant construction."""
+    """A scaled training fold granulated at one m, with its invariants and,
+    once built, the system of one kernel spec. `seconds` is the wall time of
+    granulation and invariant construction, plus the build of `system`."""
 
     scaled: Dataset
     params: ScalingParams
     granulation: Granulation
     invariants: GranuleWeights
     seconds: float
+    system: GranulatedSystem | None = None
 
 
 def _granulate_fold(
@@ -192,46 +201,63 @@ def _granulate_fold(
     return _GranulatedFold(scaled, params, granulation, invariants, time.perf_counter() - started)
 
 
+def _with_system(fold: _GranulatedFold, kernel: KernelSpec | None) -> _GranulatedFold:
+    """The fold with its system for `kernel` built, and the build time added."""
+    started = time.perf_counter()
+    system = granulated_system(fold.scaled, fold.granulation, fold.invariants, kernel)
+    return replace(fold, system=system, seconds=fold.seconds + time.perf_counter() - started)
+
+
+def _check_budget(configs, l: int) -> None:
+    """Refuse kernel configs whose largest fit on l training rows would exceed
+    the array budget, before any k-means runs."""
+    kernel_m = [config.m for config in configs if config.kernel_kind != "linear"]
+    if kernel_m:
+        check_kernel_fit_size(min(max(kernel_m), l), l)
+
+
 def train_fold_pipeline(
     train: Dataset, config: CVConfig, seed: int, restarts: int = 10, measure: str = "uniform"
 ):
-    """Scale, granulate, build invariants, and fit on training rows only.
+    """Scale, granulate, build invariants and the system, and fit on training rows only.
 
     Returns (model, FitDiagnostics, train_seconds); the scaling params
     are model.scaling. `measure` is the v-value measure of `lugsi train
     --measure`: "uniform" on the unit cube, or "empirical" with the scaled
     training rows as reference. The clock covers granulation, invariant
-    construction, and the solve. The evaluation driver passes a training
-    fold it already granulated at min(config.m, l), with the uniform
-    measure, in place of the raw rows; then only the solve runs, and its
-    time is added to the fold's granulation and invariant time.
+    construction, the system build and the solve. The evaluation driver
+    passes a training fold it already granulated at min(config.m, l), with
+    the uniform measure and this config's system built, in place of the raw
+    rows; then only the solve runs, and its time is added to the fold's.
     """
     fold = train
     if not isinstance(fold, _GranulatedFold):
+        _check_budget([config], train.l)
         scaled, params = minmax_scale(train)
         fold = _granulate_fold(scaled, params, min(config.m, train.l), seed, restarts, measure)
-    started = time.perf_counter()
     kernel = config.kernel_spec()
+    if fold.system is None:
+        fold = _with_system(fold, kernel)
+    started = time.perf_counter()
     if kernel is None:
         model, diagnostics = fit_linear_lugsi(
-            fold.scaled, fold.granulation, fold.invariants, config.gamma, fold.params
+            fold.scaled, fold.granulation, fold.system, config.gamma, fold.params
         )
     else:
         model, diagnostics = fit_kernel_lugsi(
-            fold.scaled, fold.granulation, fold.invariants, kernel, config.gamma, fold.params
+            fold.scaled, fold.granulation, fold.system, kernel, config.gamma, fold.params
         )
     return model, diagnostics, fold.seconds + time.perf_counter() - started
 
 
-def _units(data: Dataset, configs, folds: int, seed: int, restarts: int):
+def _units(data: Dataset, plan, configs, seed: int, restarts: int):
     """Work units in fold order, then in first-seen order of m_eff.
 
     Each fold's training rows are scaled, and its test rows rescaled, once.
     A unit is one (fold, m_eff = min(m, training fold size)) with every
     config it serves, paired with the config's index in `configs`.
     """
-    plan = kfold_split(data, folds, seed)
-    for fold in range(folds):
+    for fold in range(plan.fold_count):
         test_idx = plan.test_indices(fold)
         scaled, params = minmax_scale(data.subset(plan.train_indices(fold)))
         scaled_test = apply_scaling(data.subset(test_idx), params)
@@ -243,17 +269,24 @@ def _units(data: Dataset, configs, folds: int, seed: int, restarts: int):
 
 
 def _evaluate_unit(unit) -> list:
-    """Granulate one (fold, m_eff) once, then fit and score each of its
-    configs; returns (config index, FoldResult) pairs."""
+    """Granulate one (fold, m_eff) once, then for each kernel spec build its
+    system once and fit and score each of its configs; returns
+    (config index, FoldResult) pairs."""
     fold, scaled, params, scaled_test, test_idx, m_eff, members, seed, restarts = unit
     granulated = _granulate_fold(scaled, params, m_eff, seed, restarts, "uniform")
-    out = []
+    by_kernel: dict = {}
     for index, config in members:
-        # the one fold-fit path, so a traced grid still records one fold fit per (config, fold)
-        model, _, seconds = train_fold_pipeline(granulated, config, seed, restarts)
-        predictions = predict_labels(model, scaled_test.features)
-        score = accuracy(predictions, scaled_test.labels)
-        out.append((index, FoldResult(fold, score, seconds, m_eff, test_idx, predictions)))
+        by_kernel.setdefault(config.kernel_spec(), []).append((index, config))
+    out = []
+    for kernel, group in by_kernel.items():
+        with_system = _with_system(granulated, kernel)
+        for index, config in group:
+            # the one fold-fit path, so a traced grid still records one fold fit per (config, fold)
+            model, _, seconds = train_fold_pipeline(with_system, config, seed, restarts)
+            predictions = predict_labels(model, scaled_test.features)
+            score = accuracy(predictions, scaled_test.labels)
+            out.append((index, FoldResult(fold, score, seconds, m_eff, test_idx, predictions)))
+        del with_system  # one system live at a time
     return out
 
 
@@ -262,12 +295,19 @@ def _evaluate(
 ) -> tuple:
     """The one evaluation driver: per-fold results of every config.
 
-    Work runs fold -> m_eff -> configs, so k-means and the invariants run
-    once per (fold, m_eff) whatever the number of (C, delta) points, and
-    only one granulation is live at a time. With threads > 1 the units
-    run in worker processes; results are assembled in `configs` order.
+    Work runs fold -> m_eff -> kernel system -> configs, so k-means and
+    the invariants run once per (fold, m_eff) whatever the number of
+    (C, delta) points, each (fold, m_eff, delta) system is built once for
+    all of its C values, and only one granulation and one system are live
+    at a time. A kernel config whose fit would exceed the array budget on
+    some training fold is refused before any fold work. With threads > 1
+    the units run in worker processes; results are assembled in `configs`
+    order.
     """
-    units = _units(data, configs, folds, seed, restarts)
+    plan = kfold_split(data, folds, seed)
+    for fold in range(folds):
+        _check_budget(configs, plan.train_indices(fold).size)
+    units = _units(data, plan, configs, seed, restarts)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_evaluate_unit, units, chunksize=1))

@@ -2,15 +2,18 @@
 
 Lloyd iterations from k-means++ seeding, restarted a configurable number
 of times with the lowest-error run kept. The restarts stop at a run with
-zero clustering error, since no later run can beat it. The seeding skips
-the rows that a new centre provably cannot move (triangle inequality),
-yet picks exactly the centres of a full update. Every assignment pass
-fills one reused l x m buffer with the products 2x.c from a single
-matmul, then takes the distances and their argmin in cache-sized row
-blocks. Everything is deterministic under the seed: assignment ties go
-to the lowest centroid index, granule contributions are ordered by
-index, and clusters that empty during an update are repaired by
-stealing the point farthest from the empty cluster's current centroid.
+zero clustering error, since no later run can beat it. The k-means++
+seeding chooses its update by input size: up to FULL_SEEDING_ENTRIES
+entries (l x n; a 142-row wine fold has 1846) each pick updates every
+row, and above it a pick skips the rows that the new centre provably
+cannot move (triangle inequality). Both pick exactly the same centres.
+Every assignment pass fills one reused l x m buffer with the products
+2x.c from a single matmul, then takes the distances and their argmin in
+cache-sized row blocks. Everything is deterministic under the seed:
+assignment ties go to the lowest centroid index, granule contributions
+are ordered by index, and clusters that empty during an update are
+repaired by stealing the point farthest from the empty cluster's
+current centroid.
 """
 
 from collections.abc import Callable
@@ -29,6 +32,9 @@ TOL = 1e-6  # on the maximum centroid displacement between iterations
 # seeding skips a row when ||c - c_j||^2 >= PRUNE_FACTOR * d2 + PRUNE_FLOOR
 PRUNE_FACTOR = 4.0 * (1.0 + 1e-9)
 PRUNE_FLOOR = 1e-300
+# seeding inputs of at most this many entries (l x n) update every row per
+# pick; larger ones prune (the crossover measured about 2^13 entries)
+FULL_SEEDING_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -82,22 +88,31 @@ class Granulation:
 def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids by squared distance.
 
-    Exact triangle pruning (Elkan, ICML 2003; Raff, IJCAI 2021). d2[i] is
-    the computed squared distance from row i to its chosen centre
-    c_j, j = nearest[i]. A new centre c recomputes only the rows with
+    d2[i] is the computed squared distance from row i to its nearest chosen
+    centre, and each pick lowers it to the row's distance to the new centre
+    where that is smaller. An input of at most FULL_SEEDING_ENTRIES entries
+    (l x n) recomputes every row per pick, in preallocated buffers: on small
+    inputs a few whole-array operations cost less than finding the rows to
+    skip. Larger inputs skip rows by exact triangle pruning (Elkan, ICML
+    2003; Raff, IJCAI 2021): with c_j = nearest[i] the row's chosen centre, a
+    new centre c recomputes only the rows with
     ||c - c_j||^2 < PRUNE_FACTOR * d2 + PRUNE_FLOOR. For any other row,
     ||c - c_j|| >= 2 ||x - c_j|| gives ||x - c|| >= ||x - c_j||. The
     relative slack covers the rounding of the three computed distances,
     and PRUNE_FLOOR the absolute rounding of subnormal ones. So the row's
-    computed distance to c is never below d2, and a full update's
-    np.minimum would have kept d2's bits. An overflowed centre distance
-    bounds nothing, so it prunes no row.
+    computed distance to c is never below d2, and the full update's
+    np.minimum keeps d2's bits: both updates pick the same centres. An
+    overflowed centre distance bounds nothing, so it prunes no row.
     """
     l = X.shape[0]
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = rng.integers(l)
     d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
-    nearest = np.zeros(l, dtype=np.int64)
+    full = X.size <= FULL_SEEDING_ENTRIES
+    if full:
+        diff, fresh = np.empty_like(X), np.empty_like(d2)
+    else:
+        nearest = np.zeros(l, dtype=np.int64)
     for k in range(1, m):
         total = d2.sum()
         if not np.isfinite(total):
@@ -113,6 +128,11 @@ def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
             # all remaining mass sits on already-chosen points (duplicates)
             chosen[k] = rng.integers(l)
         centre = X[chosen[k]]
+        if full:
+            # np.sum((X - centre) ** 2, axis=1), in place
+            np.square(np.subtract(X, centre, out=diff), out=diff)
+            np.minimum(d2, diff.sum(axis=1, out=fresh), out=d2)
+            continue
         cc2 = np.sum((X[chosen[:k]] - centre) ** 2, axis=1)
         cc2[cc2 == np.inf] = 0.0
         rows = np.flatnonzero(cc2[nearest] < PRUNE_FACTOR * d2 + PRUNE_FLOOR)

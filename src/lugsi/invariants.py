@@ -138,7 +138,8 @@ def _granule_invariants(
 ) -> GranuleWeights:
     """The one weight builder: the v-values under `measure` (ones for None)
     in `order` layout by one gather, each granule rescaled to maximum 1 if
-    `normalize`, then s_k and t_k summed per granule slice."""
+    `normalize`, then s_k and t_k: v and v * y for a singleton granule,
+    summed per granule slice for a larger one."""
     if granulation.assignments.shape[0] != data.l:
         raise DataError("granulation does not match the dataset")
     order, ends = granulation.order, granulation.ends
@@ -154,9 +155,11 @@ def _granule_invariants(
             if np.isfinite(log_v.max()):
                 v[lo:hi] = np.exp(log_v - log_v.max())
     y = data.labels[order].astype(np.float64)
-    bounds = list(zip(starts.tolist(), ends.tolist()))
-    s = [v[lo:hi].sum() for lo, hi in bounds]
-    t = [v[lo:hi] @ y[lo:hi] for lo, hi in bounds]
+    # a singleton's sum is its v and its target v * y; larger granules sum per slice
+    s, t = v[starts], v[starts] * y[starts]
+    larger = np.flatnonzero(ends - starts > 1)
+    for k, lo, hi in zip(larger.tolist(), starts[larger].tolist(), ends[larger].tolist()):
+        s[k], t[k] = v[lo:hi].sum(), v[lo:hi] @ y[lo:hi]
     return GranuleWeights(v, ends, s, t)
 
 

@@ -24,9 +24,12 @@ which takes a design D, a bias column, targets and an optional weight
 matrix W (None for the identity). The granulated linear and kernel fits
 read the joined v, s and t arrays of a `GranuleWeights` and pass
 (P, s, t), since sum_k v_k v_k^T weighting of the full design is the
-identity weighting of P. `fit_lssvm` is the identity-weighted degenerate mode
-(singleton granules, unit predicates): it passes (D, 1, Y) with m = l,
-so its effective regularizer is gamma * l.
+identity weighting of P. `granulated_system` builds that (P, s, t) apart
+from gamma, and a fit given the resulting `GranulatedSystem` solves it
+without a rebuild, so a cv grid builds each system once for all its C.
+`fit_lssvm` is the identity-weighted degenerate mode (singleton granules,
+unit predicates): it passes (D, 1, Y) with m = l, so its effective
+regularizer is gamma * l.
 `fit_vsvm` keeps the dense reference construction for cross-checks: it
 passes (D, 1, Y) with W = V and m = 1. Both build the whole design; the
 full V-matrix is never materialized for a granulated fit.
@@ -144,7 +147,8 @@ def _factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky solve with one refinement step; returns (z, condition hint).
 
     L from `np.linalg.cholesky` is applied by block substitution: only its
-    diagonal blocks of `_SOLVE_BLOCK` rows are inverted, so a solve costs O(n^2).
+    diagonal blocks of `_SOLVE_BLOCK` rows are inverted, the full ones in one
+    batched call, so a solve costs O(n^2).
     The hint is the squared ratio of the extreme diagonal entries of L, a
     cheap lower bound on the 2-norm condition number.
     """
@@ -157,7 +161,15 @@ def _factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     except np.linalg.LinAlgError:
         raise NumericError("Cholesky failed: a leading minor is not positive definite") from None
     blocks = [slice(lo, min(lo + _SOLVE_BLOCK, len(L))) for lo in range(0, len(L), _SOLVE_BLOCK)]
-    inverses = [np.linalg.inv(L[rows, rows]) for rows in blocks]
+    # one batched inverse of the full diagonal blocks, then one of the shorter tail
+    full = len(L) // _SOLVE_BLOCK
+    edge = full * _SOLVE_BLOCK
+    inverses = []
+    if full:
+        diagonal = L[:edge, :edge].reshape(full, _SOLVE_BLOCK, full, _SOLVE_BLOCK)
+        inverses.extend(np.linalg.inv(diagonal[np.arange(full), :, np.arange(full)]))
+    if edge < len(L):
+        inverses.append(np.linalg.inv(L[edge:, edge:]))
 
     def solve(r: np.ndarray) -> np.ndarray:
         y, z = np.empty_like(r), np.empty_like(r)
@@ -266,6 +278,17 @@ def _row_blocks(rows: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def check_kernel_fit_size(m: int, l: int) -> None:
+    """Refuse a granulated kernel fit of m granules on l training rows whose
+    P or Gram block would hold more than `errors.MAX_ARRAY_ENTRIES` entries.
+
+    P and a Gram block are its largest arrays; the min(m, l) square system
+    is no larger. The cv grid and `train` call it before any k-means.
+    """
+    largest = max(m, *(rows.stop - rows.start for rows in _row_blocks(l)))
+    check_array_entries("kernel P or Gram block", largest, l)
+
+
 def _design_rows(data, granulation, weights, kernel) -> np.ndarray:
     """P, whose row k is design_k^T v_k, from one walk over the rows in granule order.
 
@@ -278,9 +301,7 @@ def _design_rows(data, granulation, weights, kernel) -> np.ndarray:
     m, X, linear = granulation.m, data.features, kernel is None
     blocks = [slice(0, data.l)] if linear else _row_blocks(data.l)
     if not linear:
-        # P and a Gram block are the largest arrays; the min(m, l) square system is no larger
-        largest = max(m, *(rows.stop - rows.start for rows in blocks))
-        check_array_entries("kernel P or Gram block", largest, data.l)
+        check_kernel_fit_size(m, data.l)
     order, ends = granulation.order, granulation.ends.tolist()
     P = np.zeros((m, data.n if linear else data.l), dtype=np.float64)
     k = 0
@@ -297,33 +318,63 @@ def _design_rows(data, granulation, weights, kernel) -> np.ndarray:
     return P
 
 
-def _granulated_fit(
-    data: Dataset,
-    granulation: Granulation,
-    weights: GranuleWeights,
-    kernel: KernelSpec | None,
-    gamma: float,
-    scaling: ScalingParams | None,
-):
-    """Rank-one fit with one invariant per granule, in granule-index order.
+@dataclass(frozen=True)
+class GranulatedSystem:
+    """A granulated fit before its regularizer: the read-only P, whose row k is
+    design_k^T v_k, and the weights' sums s and targets t, with the training
+    rows, granulation and kernel (None for linear) they were built from.
 
-    Row k of P is design_k^T v_k (`_design_rows`) from the joined `weights.v`,
-    and s and t are the weights' own; their `ends` must be the granulation's.
+    `granulated_system` builds it once; the fits solve it at any gamma, so a
+    cv grid builds each (fold, m, delta) system once for all of its C values.
     """
+
+    data: Dataset
+    granulation: Granulation
+    kernel: KernelSpec | None
+    P: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+
+
+def granulated_system(
+    data: Dataset, granulation: Granulation, weights: GranuleWeights, kernel: KernelSpec | None
+) -> GranulatedSystem:
+    """P from the joined `weights.v` (`_design_rows`), with the weights' s and
+    t, whose `ends` must be the granulation's."""
     if granulation.assignments.shape[0] != data.l:
         raise DataError("granulation does not match the dataset")
     if not np.array_equal(weights.ends, granulation.ends):
         raise DataError("need one GranuleInvariant per granule, as long as the granule")
     P = _design_rows(data, granulation, weights.v, kernel)
+    P.flags.writeable = False
+    return GranulatedSystem(data, granulation, kernel, P, weights.s, weights.t)
+
+
+def _granulated_fit(
+    data: Dataset,
+    granulation: Granulation,
+    weights: GranuleWeights | GranulatedSystem,
+    kernel: KernelSpec | None,
+    gamma: float,
+    scaling: ScalingParams | None,
+):
+    """Rank-one fit with one invariant per granule, in granule-index order:
+    the system of `weights` (built here unless given) solved at gamma."""
+    system = weights
+    if not isinstance(system, GranulatedSystem):
+        system = granulated_system(data, granulation, weights, kernel)
+    elif not (system.data is data and system.granulation is granulation
+              and system.kernel == kernel):
+        raise DataError("the system was built from other rows, granules or kernel")
     return _closed_form(
-        data, kernel, gamma, granulation.m, granulation.seed, scaling, P, weights.s, weights.t
+        data, kernel, gamma, granulation.m, granulation.seed, scaling, system.P, system.s, system.t
     )
 
 
 def fit_linear_lugsi(
     data: Dataset,
     granulation: Granulation,
-    invariants: GranuleWeights,
+    invariants: GranuleWeights | GranulatedSystem,
     gamma: float,
     scaling: ScalingParams | None = None,
 ) -> tuple[LinearModel, FitDiagnostics]:
@@ -333,6 +384,8 @@ def fit_linear_lugsi(
     sides sum_k t_k u_k and sum_k s_k u_k, then recovers the bias from
     the accumulated bias stationarity equation. A near-zero bias
     denominator falls back to b = 0 with the diagnostics flag set.
+    `invariants` may also be the `GranulatedSystem` of these rows and
+    granules, which is then solved without a rebuild.
     """
     return _granulated_fit(data, granulation, invariants, None, gamma, scaling)
 
@@ -340,7 +393,7 @@ def fit_linear_lugsi(
 def fit_kernel_lugsi(
     data: Dataset,
     granulation: Granulation,
-    invariants: GranuleWeights,
+    invariants: GranuleWeights | GranulatedSystem,
     kernel: KernelSpec,
     gamma: float,
     scaling: ScalingParams | None = None,
@@ -353,6 +406,8 @@ def fit_kernel_lugsi(
     builds the l x l Gram. With m >= l the system is l x l. The budget
     `errors.MAX_ARRAY_ENTRIES` bounds max(m, Gram block rows) * l, so
     with few granules l may go well past the l of an l x l budget.
+    `invariants` may also be the `GranulatedSystem` of these rows, granules
+    and kernel, which is then solved without a rebuild.
     """
     return _granulated_fit(data, granulation, invariants, kernel, gamma, scaling)
 

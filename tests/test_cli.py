@@ -23,7 +23,7 @@ from lugsi import (
     predict_labels,
     save_model,
 )
-from lugsi import cli, errors
+from lugsi import cli, errors, evaluation
 from lugsi.cli import main
 from lugsi.evaluation import train_fold_pipeline
 
@@ -186,6 +186,37 @@ class TestTrain:
             "900 entries are above the cap of 300"
         ) in capsys.readouterr().err
         assert not model.exists()
+
+    @pytest.mark.parametrize("kernel", ["rbf", "cro"])
+    @pytest.mark.parametrize("command", ["cv", "train"])
+    def test_kernel_fit_above_the_budget_fails_before_kmeans(
+        self, tmp_path, train_csv, monkeypatch, capsys, command, kernel
+    ):
+        # the 24-row training folds of a 5-fold cv, and train's 30 rows, each
+        # make one Gram block above a budget of 300 entries
+        monkeypatch.setattr(errors, "MAX_ARRAY_ENTRIES", 300)
+        calls = []
+        granulate = evaluation.kmeans_granulate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return granulate(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "kmeans_granulate", counting)
+        if command == "cv":
+            rows, args = 24, ["cv", "--c-grid", "1", "--m-grid", "2",
+                              "--report-out", str(tmp_path / "r.json"),
+                              "--csv-out", str(tmp_path / "r.csv")]
+        else:
+            rows, args = 30, ["train", "--clusters", "2", "--model-out", str(tmp_path / "m.json")]
+        code = main([*args, "--data", str(train_csv), "--kernel", kernel])
+        assert code == 3
+        assert (
+            f"data error: refusing to build the {rows}x{rows} kernel P or Gram block: "
+            f"{rows * rows} entries are above the cap of 300"
+        ) in capsys.readouterr().err
+        assert calls == []
+        assert not any(tmp_path.glob("[mr].*"))
 
     def test_subnormal_rbf_width_fits(self, tmp_path, train_csv):
         # 2 delta^2 = 2e-320 is subnormal: every nonzero squared distance

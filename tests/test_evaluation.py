@@ -1,6 +1,8 @@
 """Cross-validation, grid search, and benchmark harness contracts."""
 
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from lugsi import (
     kfold_split,
 )
 import lugsi.evaluation
+from lugsi import load_csv, solver
 from lugsi.evaluation import (
     ConfigResult,
     CVConfig,
@@ -46,6 +49,30 @@ def count_granulations(monkeypatch) -> list:
 
     monkeypatch.setattr(lugsi.evaluation, "kmeans_granulate", counting)
     return calls
+
+
+def count_system_builds(monkeypatch) -> list:
+    """Route the solver's P builds through a recorder of (rows, m, kernel)."""
+    calls = []
+    design_rows = solver._design_rows
+
+    def counting(data, granulation, weights, kernel):
+        calls.append((data.l, granulation.m, kernel))
+        return design_rows(data, granulation, weights, kernel)
+
+    monkeypatch.setattr(solver, "_design_rows", counting)
+    return calls
+
+
+def slowed(monkeypatch, name: str, pause: float) -> None:
+    """Make the evaluation module's `name` sleep `pause` seconds before it runs."""
+    fn = getattr(lugsi.evaluation, name)
+
+    def slow(*args, **kwargs):
+        time.sleep(pause)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(lugsi.evaluation, name, slow)
 
 
 def bits(value: float) -> bytes:
@@ -228,6 +255,44 @@ class TestGridSearch:
         report = grid_search(data, grid, "linear", restarts=2)
         assert len(report.results) == 6
         assert sorted(calls) == [2, 2, 2, 5, 5, 5]
+
+    def test_default_linear_wine_grid_builds_each_system_once(self, monkeypatch):
+        builds = count_system_builds(monkeypatch)
+        data = load_csv(Path(__file__).resolve().parent.parent / "data" / "wine.csv")
+        report = grid_search(data, GridSpec.default(data.l, seed=1), "linear", time_tiebreak=False)
+        assert len(report.results) == 17 * 5
+        # 5 folds x 5 m values, each solved at 17 C values
+        assert len(builds) == 25
+        assert len(set((rows, m) for rows, m, _ in builds)) == 10
+
+    def test_rbf_grid_builds_one_system_per_unit_and_delta(self, rng, monkeypatch):
+        builds = count_system_builds(monkeypatch)
+        granulations = count_granulations(monkeypatch)
+        data = random_binary_dataset(rng, 24, 2)
+        grid = GridSpec(
+            c_values=(0.5, 2.0, 8.0), delta_values=(0.5, 1.0), m_values=(2, 5), folds=3, seed=1
+        )
+        report = grid_search(data, grid, "rbf", restarts=2)
+        assert len(report.results) == 12
+        assert len(granulations) == 6
+        # delta-major inside each (fold, m) unit
+        assert [(m, kernel.delta) for _, m, kernel in builds] == [
+            (2, 0.5), (2, 1.0), (5, 0.5), (5, 1.0)
+        ] * 3
+
+    def test_train_seconds_include_granulation_and_system_build(self, rng, monkeypatch):
+        pause = 0.05
+        slowed(monkeypatch, "kmeans_granulate", pause)
+        slowed(monkeypatch, "granulated_system", pause)
+        data = random_binary_dataset(rng, 12, 2)
+        grid = GridSpec(
+            c_values=(1.0, 4.0), delta_values=(0.5, 2.0), m_values=(2,), folds=2, seed=0
+        )
+        report = grid_search(data, grid, "rbf", restarts=1)
+        for result in report.results:
+            for fr in result.fold_results:
+                # the unit's k-means plus this delta's system build, each at least `pause`
+                assert fr.train_seconds >= 2 * pause
 
     def test_parallel_units_match_sequential_bytes(self, rng):
         # 21 rows in 3 folds train on 14, so m = 20 is clipped

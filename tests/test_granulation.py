@@ -9,7 +9,7 @@ from conftest import random_binary_dataset, traced_peak
 from oracles import best_two_partition_error, reference_kmeans
 
 from lugsi import DataError, Dataset, assign_to_granules, generate_ndc, kmeans_granulate
-from lugsi import kernels
+from lugsi import granulation, kernels
 from lugsi.granulation import Granulation
 from lugsi.kernels import DISTANCE_BLOCK_ENTRIES, squared_distances
 from lugsi.rng import make_rng
@@ -200,6 +200,45 @@ class TestExactFastKmeans:
         peak = traced_peak(kmeans_granulate, data, m, 3, 1)
         # the products fill one l x m array; the distances live in row blocks
         assert peak < 1.5 * one_array
+
+
+@pytest.mark.parametrize("limit", [0, 2**62], ids=["always-pruned", "always-full"])
+class TestEachSeedingUpdate(TestExactFastKmeans):
+    """The checks above with one k-means++ update forced on every input: the
+    triangle-pruned one (a size limit of 0) or the full one (no limit)."""
+
+    @pytest.fixture(autouse=True)
+    def seeding_limit(self, monkeypatch, limit):
+        monkeypatch.setattr(granulation, "FULL_SEEDING_ENTRIES", limit)
+
+
+@pytest.mark.parametrize("l", [142, 600, 5000])
+def test_both_seeding_updates_pick_the_same_centres(monkeypatch, l):
+    X = generate_ndc(l, 13, 10, seed=l).features
+    picks = []
+    for limit in (0, 2**62):
+        monkeypatch.setattr(granulation, "FULL_SEEDING_ENTRIES", limit)
+        picks.append(granulation._seed_centroids(X, l // 8, make_rng(3)).tobytes())
+    assert picks[0] == picks[1]
+
+
+def test_small_inputs_seed_with_the_full_update(monkeypatch):
+    # a wine training fold (142 x 13) is under the limit, a 2000 x 8 fold is over it
+    small, large = generate_ndc(142, 13, 10, seed=1), generate_ndc(2000, 8, 10, seed=1)
+    assert small.features.size <= granulation.FULL_SEEDING_ENTRIES < large.features.size
+    flatnonzero = np.flatnonzero
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return flatnonzero(*args, **kwargs)
+
+    # only the pruned update looks up the rows to recompute
+    monkeypatch.setattr(np, "flatnonzero", counting)
+    granulation._seed_centroids(small.features, 20, make_rng(1))
+    assert calls == []
+    granulation._seed_centroids(large.features, 20, make_rng(1))
+    assert len(calls) == 19
 
 
 def multi_block_cases():

@@ -500,6 +500,55 @@ class TestDiagnostics:
         assert 0 < linear_dual < 40
 
 
+@pytest.mark.parametrize("m", [63, 64, 65, 129, 500])
+def test_batched_block_inverse_solves_like_the_per_block_inverse(monkeypatch, m):
+    gen = np.random.default_rng(m)
+    A = gen.standard_normal((m, m))
+    M = A @ A.T + m * np.eye(m)
+    rhs = gen.standard_normal((m, 2))
+    batched, _ = solver._factor_solve(M, rhs)
+    inv = np.linalg.inv
+
+    def per_block(a):
+        return np.array([inv(block) for block in a]) if a.ndim == 3 else inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", per_block)
+    one_by_one, _ = solver._factor_solve(M, rhs)
+    assert batched.tobytes() == one_by_one.tobytes()
+
+
+class TestGranulatedSystem:
+    """A built system solves like the weights it came from, at any gamma."""
+
+    @pytest.fixture
+    def fold(self):
+        data = random_binary_dataset(np.random.default_rng(31), 40, 3)
+        g = kmeans_granulate(data, 6, seed=2)
+        return data, g, normalized_granule_invariants(data, g, MeasureSpec.uniform())
+
+    @pytest.mark.parametrize("kernel", [None, KernelSpec("rbf", delta=0.5)], ids=["linear", "rbf"])
+    def test_system_fits_equal_weight_fits_bitwise(self, fold, kernel):
+        data, g, weights = fold
+        system = solver.granulated_system(data, g, weights, kernel)
+        assert not system.P.flags.writeable
+        for gamma in (0.01, 1.0, 64.0):
+            if kernel is None:
+                fits = [fit_linear_lugsi(data, g, w, gamma) for w in (weights, system)]
+            else:
+                fits = [fit_kernel_lugsi(data, g, w, kernel, gamma) for w in (weights, system)]
+            (want, want_diag), (got, got_diag) = fits
+            assert dump_document(model_document(got)) == dump_document(model_document(want))
+            assert got_diag == want_diag
+
+    def test_system_of_another_kernel_is_refused(self, fold):
+        data, g, weights = fold
+        system = solver.granulated_system(data, g, weights, KernelSpec("rbf", delta=0.5))
+        with pytest.raises(DataError, match="other rows, granules or kernel"):
+            fit_kernel_lugsi(data, g, system, KernelSpec("rbf", delta=2.0), 1.0)
+        with pytest.raises(DataError, match="other rows, granules or kernel"):
+            fit_linear_lugsi(data, g, system, 1.0)
+
+
 class TestSolveSides:
     """m < d factors the m x m system P P^T + gamma*m*I, else the d x d P^T P + gamma*m*I."""
 

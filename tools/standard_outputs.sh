@@ -41,6 +41,13 @@ with open("ndc.csv", "w") as out:
         print(csv_line(*row, label), file=out)
 '
 
+# an rbf grid on 2000-row training folds: k-means++ seeding takes the
+# pruned update, and each (fold, m, delta) system, whose Gram blocks
+# cross the 1024-row boundary, is solved at both C values
+lugsi cv --data ndc.csv --kernel rbf --seed 1 --timing zero --c-grid 1,4 --delta-grid 0.5,2 \
+    --m-grid 7,125 --restarts 2 --report-out cv_rbf_ndc.json --csv-out cv_rbf_ndc.csv \
+    > cv_rbf_ndc.stdout
+
 train() {
     local name=$1 data=$2
     shift 2
