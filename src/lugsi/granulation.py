@@ -85,6 +85,11 @@ class Granulation:
         return tuple(np.split(self.order, self.ends[:-1]))
 
 
+def singleton_granulation(data: Dataset, seed: int = 0) -> Granulation:
+    """Each row its own granule, in row order (order = arange(l)), centred on itself."""
+    return Granulation(np.arange(data.l), data.features, 0.0, 0, seed)
+
+
 def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ seeding: spread initial centroids by squared distance.
 

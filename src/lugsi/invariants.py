@@ -196,7 +196,8 @@ def unit_granule_invariants(data: Dataset, granulation: Granulation) -> GranuleW
     """Unit-predicate invariants: every v entry forced to 1.
 
     This is the measure-independent switch that turns the granulated
-    model into a plain least-squares one when granules are singletons.
+    model into a plain least-squares one when granules are singletons, as
+    in the LSSVM and V-matrix fits of `solver`.
     """
     return _granule_invariants(data, granulation, None, False)
 

@@ -20,26 +20,25 @@ The factored system is solved on numpy alone (`_factor_solve`: Cholesky,
 then block substitution), so the package loads a single BLAS.
 
 All four modes solve these normal equations in one core, `_closed_form`,
-which takes a design D, a bias column, targets and an optional weight
-matrix W (None for the identity). The granulated linear and kernel fits
-read the joined v, s and t arrays of a `GranuleWeights` and pass
-(P, s, t), since sum_k v_k v_k^T weighting of the full design is the
-identity weighting of P. `granulated_system` builds that (P, s, t) apart
-from gamma, and a fit given the resulting `GranulatedSystem` solves it
-without a rebuild, so a cv grid builds each system once for all its C.
-`fit_lssvm` is the identity-weighted degenerate mode (singleton granules,
-unit predicates): it passes (D, 1, Y) with m = l, so its effective
-regularizer is gamma * l.
-`fit_vsvm` keeps the dense reference construction for cross-checks: it
-passes (D, 1, Y) with W = V and m = 1. Both build the whole design; the
-full V-matrix is never materialized for a granulated fit.
+which takes a `GranulatedSystem` (P as the design, s as the bias column,
+t as the targets) and an optional weight matrix W (None for the
+identity): sum_k v_k v_k^T weighting of the full design is the identity
+weighting of P. `granulated_system` builds it apart from gamma through
+`_design_rows`, the one design builder, so a cv grid builds each system
+once for all its C. `fit_lssvm` and `fit_vsvm` build the system of
+`singleton_granulation` (one granule per row, in row order) with unit
+predicates, so P is the design itself, s = 1 and t = Y. `fit_lssvm`
+solves it with m = l, an effective regularizer gamma * l, and `fit_vsvm`,
+the dense reference for cross-checks, with W = V and m = 1. The full
+V-matrix is never materialized for a granulated fit.
 
 A fit refuses to start when its largest array would hold more than
-`errors.MAX_ARRAY_ENTRIES` entries: max(m, Gram block rows) x l for a granulated
-kernel fit, l x l for a kernel LSSVM or a V-matrix fit.
+`errors.MAX_ARRAY_ENTRIES` entries: max(m, Gram block rows) x l for any kernel
+fit (`check_kernel_fit_size`; l x l for a kernel LSSVM), l x l for a V-matrix fit.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,8 +46,8 @@ import numpy as np
 
 from .dataset import Dataset, ScalingParams
 from .errors import DataError, LugsiError, NumericError, check_array_entries
-from .granulation import Granulation
-from .invariants import GranuleWeights
+from .granulation import Granulation, singleton_granulation
+from .invariants import GranuleWeights, unit_granule_invariants
 from .kernels import KernelSpec, gram_block
 from .serialize import load_document, write_document
 
@@ -196,20 +195,14 @@ def solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _factor_solve(M, rhs)[0]
 
 
-def _design(data: Dataset, kernel: KernelSpec | None) -> np.ndarray:
-    """The feature matrix, or the l x l training Gram block within the budget."""
-    if kernel is None:
-        return data.features
-    check_array_entries("training Gram", data.l, data.l)
-    return gram_block(kernel, data.features, data.features)
-
-
 def _closed_form(
-    data, kernel, gamma, m, seed, scaling, D, one, y, W=None,
+    system, gamma, m, scaling, W=None
 ) -> tuple[LinearModel | KernelModel, FitDiagnostics]:
     """The one solve, bias recovery, model and diagnostics of every fit mode.
 
-    Minimizes r^T W r + gamma*m*||p||^2 over p and the bias b, where
+    Takes a `GranulatedSystem` and reads its P as the design D, its s as the
+    bias column `one` and its t as the targets y. Minimizes
+    r^T W r + gamma*m*||p||^2 over p and the bias b, where
     r = D p + b*one - y and W = None stands for the identity. The two
     half-solutions [p_b, p_c] solve M [p_b, p_c] = [D^T W y, D^T W one]
     with M = D^T W D + gamma*m*I. With W = None and fewer rows than columns
@@ -218,6 +211,8 @@ def _closed_form(
     a near-zero bias denominator falls back to b = 0 with the diagnostics
     flag set. Then p = p_b - b*p_c.
     """
+    D, one, y = system.P, system.s, system.t
+    data, kernel, seed = system.data, system.kernel, system.granulation.seed
     gamma_eff = gamma * m
     if not gamma_eff > 0.0:
         raise DataError("gamma must be positive")
@@ -292,28 +287,33 @@ def check_kernel_fit_size(m: int, l: int) -> None:
 def _design_rows(data, granulation, weights, kernel) -> np.ndarray:
     """P, whose row k is design_k^T v_k, from one walk over the rows in granule order.
 
-    Granule k is order[ends[k-1]:ends[k]] (from 0 for k = 0); `weights`,
-    the joined v vectors, line up with `order`. A linear fit takes the
-    feature rows in granule order as one block, a kernel fit Gram blocks of
-    `_row_blocks` rows against all training rows (no l x l Gram). Each
-    block adds the segments of the granules it covers, advancing k past each end.
+    Granule k is order[starts[k]:ends[k]]; `weights`, the joined v vectors,
+    line up with `order`. A linear fit takes the feature rows in granule order
+    as one block, a kernel fit Gram blocks of `_row_blocks` rows against all
+    training rows (no l x l Gram). Each block adds v times the design row of
+    its singleton granules in one array step, then v_seg^T design_seg for the
+    segment of each larger granule it covers.
     """
     m, X, linear = granulation.m, data.features, kernel is None
     blocks = [slice(0, data.l)] if linear else _row_blocks(data.l)
     if not linear:
         check_kernel_fit_size(m, data.l)
-    order, ends = granulation.order, granulation.ends.tolist()
+    order, ends = granulation.order, granulation.ends
+    starts = np.concatenate(([0], ends[:-1]))
+    sizes = ends - starts
+    single, larger = (sizes == 1).nonzero()[0], (sizes > 1).nonzero()[0]
+    first, last, larger = starts[larger].tolist(), ends[larger].tolist(), larger.tolist()
     P = np.zeros((m, data.n if linear else data.l), dtype=np.float64)
-    k = 0
     for rows in blocks:
         block = X[order[rows]] if linear else gram_block(kernel, X[order[rows]], X)
-        lo = rows.start
-        while lo < rows.stop:
-            while ends[k] <= lo:
-                k += 1
-            hi = min(ends[k], rows.stop)
-            P[k] += weights[lo:hi] @ block[lo - rows.start:hi - rows.start]
-            lo = hi
+        if single.size:  # none at small m: skip the step and its fixed cost
+            ks = single[slice(*starts[single].searchsorted([rows.start, rows.stop]))]
+            P[ks] += weights[starts[ks], None] * block[starts[ks] - rows.start]
+        # the larger granules that end after the block starts and start before it ends
+        lo, hi = bisect_right(last, rows.start), bisect_left(first, rows.stop)
+        for k, a, b in zip(larger[lo:hi], first[lo:hi], last[lo:hi]):
+            a, b = max(a, rows.start), min(b, rows.stop)
+            P[k] += weights[a:b] @ block[a - rows.start:b - rows.start]
         del block  # free it before the next block is built
     return P
 
@@ -366,9 +366,7 @@ def _granulated_fit(
     elif not (system.data is data and system.granulation is granulation
               and system.kernel == kernel):
         raise DataError("the system was built from other rows, granules or kernel")
-    return _closed_form(
-        data, kernel, gamma, granulation.m, granulation.seed, scaling, system.P, system.s, system.t
-    )
+    return _closed_form(system, gamma, granulation.m, scaling)
 
 
 def fit_linear_lugsi(
@@ -422,15 +420,13 @@ def fit_lssvm(
     """Identity-weighted least-squares fit (unit predicates, singleton granules).
 
     Minimizes ||D p + b - Y||^2 + gamma * l * ||p||^2: the granulated fit
-    with m = l and every v entry forced to 1, so P is the design D itself
-    (the features, or the l x l training Gram for a kernel spec) and
-    `_closed_form` gets (D, 1, Y) with W = None (the identity) and m = l.
+    of `singleton_granulation` (m = l) with `unit_granule_invariants`, so P
+    is the design D itself (the features, or the training Gram rows for a
+    kernel spec, built in Gram blocks), s = 1 and t = Y.
     """
-    design = _design(data, kernel)
-    return _closed_form(
-        data, kernel, gamma, data.l, seed, scaling,
-        design, np.ones(data.l), data.labels.astype(np.float64),
-    )
+    granulation = singleton_granulation(data, seed)
+    weights = unit_granule_invariants(data, granulation)
+    return _granulated_fit(data, granulation, weights, kernel, gamma, scaling)
 
 
 def fit_vsvm(
@@ -444,9 +440,9 @@ def fit_vsvm(
     """Dense reference fit weighting residuals by a full V-matrix.
 
     Minimizes (D p + b - Y)^T V (D p + b - Y) + gamma * ||p||^2 with no
-    rank-one shortcut: `_closed_form` gets (D, 1, Y) with W = V and m = 1.
-    V must be a symmetric positive semidefinite l x l matrix. Kept for
-    equivalence cross-checks and small problems.
+    rank-one shortcut: the singleton system of `fit_lssvm` solved with W = V
+    and m = 1. V must be a symmetric positive semidefinite l x l matrix.
+    Kept for equivalence cross-checks and small problems.
     """
     check_array_entries("V-matrix fit system", data.l, data.l)
     V = np.asarray(V, dtype=np.float64)
@@ -460,11 +456,9 @@ def fit_vsvm(
         if smallest < -1e-8:
             raise DataError(f"V is not positive semidefinite (eigenvalue {smallest:.3e})")
 
-    design = _design(data, kernel)
-    return _closed_form(
-        data, kernel, gamma, 1, seed, scaling,
-        design, np.ones(data.l), data.labels.astype(np.float64), V,
-    )
+    granulation = singleton_granulation(data, seed)
+    weights = unit_granule_invariants(data, granulation)
+    return _closed_form(granulated_system(data, granulation, weights, kernel), gamma, 1, scaling, V)
 
 
 def decision_values(model: LinearModel | KernelModel, points: np.ndarray) -> np.ndarray:

@@ -12,6 +12,8 @@ import itertools
 
 import numpy as np
 
+from lugsi.kernels import gram_block
+
 
 def dense_linear_fit(X, y, granule_members, v_vectors, gamma):
     """Solve the full (n+1) stationarity system with explicit outer products."""
@@ -108,6 +110,28 @@ def reference_granule_weights(X, y, granule_members, kind, references=None):
     targets = [float(v @ labels[members]) for v, members in zip(vs, granule_members)]
     ends = np.cumsum([v.size for v in vs])
     return np.concatenate(vs), ends, np.array([v.sum() for v in vs]), np.array(targets)
+
+
+def reference_design_rows(X, order, ends, weights, kernel, blocks):
+    """P as `solver._design_rows` first built it: one walk over the rows in
+    granule order, adding one segment product per granule and block, the
+    singletons included. `blocks` are the row slices of the walk (the
+    solver's `_row_blocks` for a kernel, so the segments split alike), and
+    a kernel block is `gram_block(kernel, X[order[rows]], X)`."""
+    linear = kernel is None
+    ends = ends.tolist()
+    P = np.zeros((len(ends), X.shape[1] if linear else X.shape[0]), dtype=np.float64)
+    k = 0
+    for rows in blocks:
+        block = X[order[rows]] if linear else gram_block(kernel, X[order[rows]], X)
+        lo = rows.start
+        while lo < rows.stop:
+            while ends[k] <= lo:
+                k += 1
+            hi = min(ends[k], rows.stop)
+            P[k] += weights[lo:hi] @ block[lo - rows.start:hi - rows.start]
+            lo = hi
+    return P
 
 
 def fd_gradient_norm(objective, theta, h=1e-6):

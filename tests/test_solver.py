@@ -17,6 +17,7 @@ from oracles import (
     explicit_objective_kernel,
     explicit_objective_linear,
     fd_gradient_norm,
+    reference_design_rows,
 )
 
 from lugsi import (
@@ -378,6 +379,25 @@ class TestLssvm:
         np.testing.assert_allclose(model.A, reference.A, rtol=1e-10, atol=1e-12)
         assert model.c == pytest.approx(reference.c, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("kernel", [None, KernelSpec("rbf", delta=0.8)], ids=["linear", "rbf"])
+    def test_matches_dense_oracle_on_singletons(self, kernel):
+        # the oracle's explicit (d + 1) system with one unit-v granule per row
+        for seed in range(20):
+            gen = np.random.default_rng(2500 + seed)
+            data = random_binary_dataset(gen, int(gen.integers(5, 30)), int(gen.integers(1, 5)))
+            gamma = float(gen.uniform(0.01, 2.0))
+            members, units = [np.array([i]) for i in range(data.l)], [np.ones(1)] * data.l
+            model, _ = fit_lssvm(data, gamma, kernel=kernel)
+            if kernel is None:
+                coef, bias = model.w, model.b
+                want, want_bias = dense_linear_fit(data.features, data.labels, members, units, gamma)
+            else:
+                coef, bias = model.A, model.c
+                K = gram_block(kernel, data.features, data.features)
+                want, want_bias = dense_kernel_fit(K, data.labels, members, units, gamma)
+            np.testing.assert_allclose(coef, want, rtol=1e-10, atol=1e-12)
+            assert bias == pytest.approx(want_bias, rel=1e-10, abs=1e-12)
+
 
 class TestVsvm:
     def test_identity_matrix_matches_lssvm_convention(self):
@@ -549,6 +569,31 @@ class TestGranulatedSystem:
             fit_linear_lugsi(data, g, system, 1.0)
 
 
+class TestDesignRows:
+    """`_design_rows` adds singletons in one step and is bitwise the granule walk."""
+
+    @pytest.mark.parametrize("case", range(48))
+    def test_equals_the_granule_walk_bitwise(self, monkeypatch, case):
+        # m = l, l // 2, any and 1 in turn; linear, rbf, then rbf with Gram
+        # blocks of 3-6 rows, which multi-row granules straddle
+        gen = np.random.default_rng(950 + case)
+        l, n = int(gen.integers(2, 90)), int(gen.integers(1, 6))
+        m = [l, max(1, l // 2), int(gen.integers(1, l + 1)), 1][case % 4]
+        mode = case // 4 % 3
+        kernel = None if mode == 0 else KernelSpec("rbf", delta=float(gen.uniform(0.3, 2.0)))
+        if mode == 2:
+            monkeypatch.setattr(solver, "ROW_BLOCK", int(gen.integers(3, 7)))
+        data = random_binary_dataset(gen, l, n)
+        assignments = np.concatenate([np.arange(m), gen.integers(0, m, l - m)])
+        gen.shuffle(assignments)
+        g = Granulation(assignments, gen.random((m, n)), 0.0, 0, 0)
+        v = gen.random(l)
+        v[gen.random(l) < 0.2] = 0.0
+        blocks = [slice(0, l)] if kernel is None else solver._row_blocks(l)
+        want = reference_design_rows(data.features, g.order, g.ends, v, kernel, blocks)
+        assert solver._design_rows(data, g, v, kernel).tobytes() == want.tobytes()
+
+
 class TestSolveSides:
     """m < d factors the m x m system P P^T + gamma*m*I, else the d x d P^T P + gamma*m*I."""
 
@@ -672,6 +717,23 @@ class TestKernelBlocks:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True
         )
         assert result.returncode == 0, result.stderr
+
+    def test_square_fits_build_the_gram_in_row_blocks(self, monkeypatch):
+        data = random_binary_dataset(np.random.default_rng(87), 40, 3)
+        spec = KernelSpec("rbf", delta=0.5)
+        monkeypatch.setattr(solver, "ROW_BLOCK", 8)
+        build, rows = solver.gram_block, []
+
+        def recording(kernel, a, b):
+            rows[-1].append(a.shape[0])
+            return build(kernel, a, b)
+
+        monkeypatch.setattr(solver, "gram_block", recording)
+        for fit in (lambda: fit_lssvm(data, 0.3, kernel=spec),
+                    lambda: fit_vsvm(data, np.eye(data.l), 0.3, kernel=spec)):
+            rows.append([])
+            fit()
+        assert all(calls and max(calls) <= 8 + 8 // 2 - 1 for calls in rows), rows
 
     def test_fit_builds_no_training_gram(self):
         # one 3000 x 3000 float array alone takes 72 MB

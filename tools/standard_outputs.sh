@@ -64,6 +64,9 @@ train rbf_ndc ndc.csv --clusters 7 --kernel rbf
 train rbf_ndc_200 ndc.csv --clusters 200 --kernel rbf
 # a byte-gated linear fit over 300 uneven granules of 2500 rows
 train linear_ndc_300 ndc.csv --clusters 300 --restarts 2
+# 1250 granules of 2500 rows, mostly of one or two rows, across the
+# 1024-row Gram blocks: the singleton step and the multi-row segments
+train rbf_ndc_1250 ndc.csv --clusters 1250 --kernel rbf --restarts 2
 
 lugsi granulate --data wine.csv --clusters 5 --out granulate.csv
 lugsi granulate --data wine.csv --clusters 5 --emit-v --out granulate_v.csv
