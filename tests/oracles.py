@@ -9,6 +9,7 @@ package internals it verifies.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -132,6 +133,18 @@ def reference_design_rows(X, order, ends, weights, kernel, blocks):
             P[k] += weights[lo:hi] @ block[lo - rows.start:hi - rows.start]
             lo = hi
     return P
+
+
+def _plain(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"cannot serialize value of type {type(value)!r}")
+
+
+def reference_dump_document(doc):
+    """A document's text as `serialize.dump_document` first wrote it: the
+    standard json encoder at indent=2, numpy values through `tolist()`."""
+    return json.dumps(doc, indent=2, allow_nan=False, default=_plain) + "\n"
 
 
 def fd_gradient_norm(objective, theta, h=1e-6):

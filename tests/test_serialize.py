@@ -9,19 +9,23 @@ import pytest
 
 from conftest import random_binary_dataset
 from lugsi import (
+    GridSpec,
     KernelSpec,
     MeasureSpec,
     decision_values,
     fit_kernel_lugsi,
     fit_linear_lugsi,
     granule_v_vectors,
+    grid_search,
     kmeans_granulate,
     load_model,
     save_model,
 )
 from lugsi.errors import NumericError
+from lugsi.evaluation import report_document
 from lugsi.serialize import csv_line, dump_document, fmt_float, load_document, write_document
-from lugsi.solver import model_document
+from lugsi.solver import fit_lssvm, fit_vsvm, model_document
+from oracles import reference_dump_document
 
 EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
 
@@ -91,6 +95,11 @@ def test_unsupported_value_is_type_error(value):
         dump_document({"value": value})
 
 
+def test_non_string_key_is_type_error():
+    with pytest.raises(TypeError, match="cannot serialize key of type"):
+        dump_document({"outer": {1: "one"}})
+
+
 def test_write_document_writes_utf8_with_newline_ends(tmp_path):
     doc = {"name": "é", "values": [0.1, 2.0], "empty": {}}
     write_document(tmp_path / "doc.json", doc)
@@ -127,3 +136,79 @@ def test_model_written_at_17_digits_loads_bitwise_equal(tmp_path, kind):
     assert decision_values(loaded, data.features).tobytes() == expected.tobytes()
     save_model(loaded, tmp_path / "new.json")
     assert (tmp_path / "new.json").read_text(encoding="utf-8") == text
+
+
+def fitted_documents():
+    """The model document of every fit kind, and a cv report document."""
+    docs = {kind: model_document(fitted(kind)[0]) for kind in ("linear", "empirical", "rbf", "cro")}
+    data = random_binary_dataset(np.random.default_rng(6), 14, 3)
+    rbf = KernelSpec("rbf", delta=0.5)
+    docs["lssvm"] = model_document(fit_lssvm(data, 0.3)[0])
+    docs["lssvm_rbf"] = model_document(fit_lssvm(data, 0.3, kernel=rbf)[0])
+    docs["vsvm"] = model_document(fit_vsvm(data, np.eye(data.l), 0.3)[0])
+    docs["vsvm_rbf"] = model_document(fit_vsvm(data, np.eye(data.l), 0.3, kernel=rbf)[0])
+    grid = GridSpec(c_values=(1.0, 4.0), delta_values=(0.5,), m_values=(2, 3), folds=3, seed=2)
+    docs["cv_report"] = report_document(grid_search(data, grid, "rbf"), timing="zero")
+    return docs
+
+
+VALUE_DOCS = {
+    "edge_floats": {
+        "scalars": EDGE_FLOATS,
+        "negated": [-x for x in EDGE_FLOATS],
+        "array": np.array(EDGE_FLOATS),
+        "matrix": np.array([EDGE_FLOATS, [-x for x in EDGE_FLOATS]]),
+        "numpy": [np.float64(x) for x in EDGE_FLOATS],
+    },
+    "numpy_scalars": {
+        "float64": np.float64(0.1),
+        "float32": np.float32(1 / 3),
+        "int64": np.int64(-(2**62)),
+        "bool": [np.bool_(True), np.bool_(False)],
+        "zero_d": np.array(2.5),
+    },
+    "arrays": {
+        "empty": np.zeros(0),
+        "no_rows": np.zeros((0, 3)),
+        "no_columns": np.zeros((2, 0)),
+        "cube": np.arange(12.0).reshape(2, 3, 2) / 7,
+        "ints": np.arange(-2, 3),
+        "int_matrix": np.arange(6, dtype=np.int32).reshape(2, 3),
+        "bools": np.array([[True, False], [False, True]]),
+        "float32": np.array([0.1, 2.0], dtype=np.float32),
+        "strided": (np.arange(10.0) / 3)[::3],
+    },
+    "containers": {
+        "nested_tuples": (1, (2.5, ("a", ())), [(), {}], ({"k": (None,)},)),
+        "empty_dict": {},
+        "empty_list": [],
+        "plain": [True, False, None, 0, -1, 2**70, 1e22, 1e-7, 123456789.125],
+    },
+    "strings": {
+        "non_ascii": "é ü ß 中文 \U0001f600",
+        "escaped": 'quote " backslash \\ tab \t newline \n nul \x00 bell \x07 del \x7f',
+        "ключ é": "non-ASCII key",
+        "": "empty key",
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(VALUE_DOCS))
+def test_writer_equals_the_json_encoder_on_values(name):
+    doc = VALUE_DOCS[name]
+    assert dump_document(doc) == reference_dump_document(doc)
+
+
+def test_writer_equals_the_json_encoder_on_every_document(tmp_path):
+    for kind, doc in fitted_documents().items():
+        assert dump_document(doc) == reference_dump_document(doc), kind
+        write_document(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_bytes() == reference_dump_document(doc).encode(), kind
+
+
+def test_saved_model_equals_the_json_encoder(tmp_path):
+    for kind in ("linear", "rbf", "cro"):
+        model = fitted(kind)[0]
+        save_model(model, tmp_path / "model.json")
+        expected = reference_dump_document(model_document(model)).encode()
+        assert (tmp_path / "model.json").read_bytes() == expected, kind
