@@ -3,9 +3,9 @@
 Lloyd iterations from k-means++ seeding, restarted a configurable number
 of times with the lowest-error run kept. The restarts stop at a run with
 zero clustering error, since no later run can beat it. The k-means++
-seeding chooses its update by input size: while l x max(n, 8) is at most
-FULL_SEEDING_ENTRIES (a 142-row wine fold has 1846) each pick updates
-every row, and above it a pick skips the rows that the new centre provably
+seeding chooses its update by input size: up to FULL_SEEDING_ENTRIES
+entries (l x n; a 142-row wine fold has 1846) each pick updates every
+row, and above it a pick skips the rows that the new centre provably
 cannot move (triangle inequality). Both pick exactly the same centres.
 Every assignment pass fills one reused l x m buffer with the products
 2x.c from a single matmul, then takes the distances and their argmin in
@@ -32,9 +32,8 @@ TOL = 1e-6  # on the maximum centroid displacement between iterations
 # seeding skips a row when ||c - c_j||^2 >= PRUNE_FACTOR * d2 + PRUNE_FLOOR
 PRUNE_FACTOR = 4.0 * (1.0 + 1e-9)
 PRUNE_FLOOR = 1e-300
-# seeding inputs with l x max(n, 8) at most this update every row per pick;
-# larger ones prune (the measured crossover: about 2^13 entries from n = 8,
-# and l = 2000 already at n = 2)
+# seeding inputs of at most this many entries (l x n) update every row per
+# pick; larger ones prune (the crossover measured about 2^13 entries)
 FULL_SEEDING_ENTRIES = 1 << 13
 
 
@@ -96,10 +95,10 @@ def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
 
     d2[i] is the computed squared distance from row i to its nearest chosen
     centre, and each pick lowers it to the row's distance to the new centre
-    where that is smaller. An input with l x max(n, 8) at most
-    FULL_SEEDING_ENTRIES recomputes every row per pick, in preallocated
-    buffers: on small inputs a few whole-array operations cost less than
-    finding the rows to skip. Larger inputs skip rows by exact triangle pruning (Elkan, ICML
+    where that is smaller. An input of at most FULL_SEEDING_ENTRIES entries
+    (l x n) recomputes every row per pick, in preallocated buffers: on small
+    inputs a few whole-array operations cost less than finding the rows to
+    skip. Larger inputs skip rows by exact triangle pruning (Elkan, ICML
     2003; Raff, IJCAI 2021): with c_j = nearest[i] the row's chosen centre, a
     new centre c recomputes only the rows with
     ||c - c_j||^2 < PRUNE_FACTOR * d2 + PRUNE_FLOOR. For any other row,
@@ -114,7 +113,7 @@ def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = rng.integers(l)
     d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
-    full = l * max(X.shape[1], 8) <= FULL_SEEDING_ENTRIES
+    full = X.size <= FULL_SEEDING_ENTRIES
     if full:
         diff, fresh = np.empty_like(X), np.empty_like(d2)
     else:

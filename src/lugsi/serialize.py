@@ -71,8 +71,6 @@ def _write(value: Any, newline: str, out: list) -> None:
             return
         inner, sep = newline + "  ", "{"
         for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"cannot serialize key of type {type(key)!r}")
             out.append(sep + inner + _escape(key) + ": ")
             _write(item, inner, out)
             sep = ","

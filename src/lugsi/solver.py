@@ -291,9 +291,8 @@ def _design_rows(data, granulation, weights, kernel) -> np.ndarray:
     line up with `order`. A linear fit takes the feature rows in granule order
     as one block, a kernel fit Gram blocks of `_row_blocks` rows against all
     training rows (no l x l Gram). Each block adds v times the design row of
-    its singleton granules in one array step (by slice when the block holds
-    singletons alone), then v_seg^T design_seg for the segment of each larger
-    granule it covers.
+    its singleton granules in one array step, then v_seg^T design_seg for the
+    segment of each larger granule it covers.
     """
     m, X, linear = granulation.m, data.features, kernel is None
     blocks = [slice(0, data.l)] if linear else _row_blocks(data.l)
@@ -309,11 +308,7 @@ def _design_rows(data, granulation, weights, kernel) -> np.ndarray:
         block = X[order[rows]] if linear else gram_block(kernel, X[order[rows]], X)
         if single.size:  # none at small m: skip the step and its fixed cost
             ks = single[slice(*starts[single].searchsorted([rows.start, rows.stop]))]
-            if ks.size == len(block):  # all singletons, so no larger granule reads block
-                block *= weights[rows, None]
-                P[ks[0]:ks[0] + ks.size] += block
-            else:
-                P[ks] += weights[starts[ks], None] * block[starts[ks] - rows.start]
+            P[ks] += weights[starts[ks], None] * block[starts[ks] - rows.start]
         # the larger granules that end after the block starts and start before it ends
         lo, hi = bisect_right(last, rows.start), bisect_left(first, rows.stop)
         for k, a, b in zip(larger[lo:hi], first[lo:hi], last[lo:hi]):

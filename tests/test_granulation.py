@@ -239,11 +239,6 @@ def test_small_inputs_seed_with_the_full_update(monkeypatch):
     assert calls == []
     granulation._seed_centroids(large.features, 20, make_rng(1))
     assert len(calls) == 19
-    # 3000 x 2 has 6000 entries, but at n = 2 the full update already loses from l = 2000
-    narrow = generate_ndc(3000, 2, 10, seed=1)
-    assert narrow.features.size <= granulation.FULL_SEEDING_ENTRIES
-    granulation._seed_centroids(narrow.features, 20, make_rng(1))
-    assert len(calls) == 38
 
 
 def multi_block_cases():

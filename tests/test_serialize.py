@@ -95,11 +95,6 @@ def test_unsupported_value_is_type_error(value):
         dump_document({"value": value})
 
 
-def test_non_string_key_is_type_error():
-    with pytest.raises(TypeError, match="cannot serialize key of type"):
-        dump_document({"outer": {1: "one"}})
-
-
 def test_write_document_writes_utf8_with_newline_ends(tmp_path):
     doc = {"name": "é", "values": [0.1, 2.0], "empty": {}}
     write_document(tmp_path / "doc.json", doc)
