@@ -16,7 +16,9 @@ per-granule maximum of 1. So train with the flags of a cv configuration
 (--clusters m, --gamma 1/C, --kernel, --delta, --seed, --restarts,
 uniform measure) writes exactly the model that a cv fold fits on the
 same rows. It prints the objective and gradient_norm, the exact norm of
-the objective's gradient at the returned solution.
+the objective's gradient at the returned solution. An m above the number
+of distinct scaled rows, which cv clips (m_clipped), is a data error for
+train, raised before any k-means.
 
 A granule-count sweep at one C is cv --c-grid C --m-grid m1,m2,...;
 its report gives each m's mean_accuracy and mean_train_seconds.
@@ -45,6 +47,7 @@ from .evaluation import (
     default_c_values,
     default_delta_values,
     default_m_values,
+    distinct_rows,
     grid_search,
     plot_csv_lines,
     report_document,
@@ -277,8 +280,11 @@ def cmd_train(args, parser) -> int:
     delta = 1.0 if args.delta is None else args.delta
     cro_gamma = _check_kernel_flags(parser, args, (delta,), "--delta")
     data = _load_data(args)
-    if args.clusters > data.l:  # the pipeline would clip m to the row count
+    if args.clusters > data.l:
         raise DataError(f"m={args.clusters} exceeds the number of samples {data.l}")
+    distinct = distinct_rows(minmax_scale(data)[0])
+    if args.clusters > distinct:  # the pipeline would clip m to the distinct rows
+        raise DataError(f"m={args.clusters} exceeds the {distinct} distinct scaled rows")
     config = CVConfig(args.kernel, gamma, args.clusters, delta=delta, cro_gamma=cro_gamma)
     model, diagnostics, wall = train_fold_pipeline(
         data, config, args.seed, args.restarts, args.measure

@@ -12,7 +12,8 @@ with the same flags.
 
 One driver evaluates every grid, single configuration and cluster sweep
 in the order fold -> m_eff -> kernel system -> configs, where
-m_eff = min(m, training fold size). Granulation and invariants depend
+m_eff = min(m, distinct scaled rows of the training fold): more granules
+than distinct points would leave k-means thrashing. Granulation and invariants depend
 only on (fold, m_eff, seed, restarts), so they run once per such unit and
 are shared by all of its (C, delta) points. The system a fit solves (P
 and the weights' s and t) depends on the unit and the kernel spec (delta)
@@ -33,10 +34,10 @@ import numpy as np
 
 from .dataset import Dataset, ScalingParams, apply_scaling, generate_ndc, kfold_split, minmax_scale
 from .errors import DataError
-from .granulation import Granulation, kmeans_granulate
+from .granulation import kmeans_granulate
 # granule_v_vectors is not called here: perfbench/tracer.py wraps it by this module's name
 from .invariants import (
-    GranuleWeights, MeasureSpec, granule_v_vectors, normalized_granule_invariants, v_matrix,
+    MeasureSpec, granule_v_vectors, normalized_granule_invariants, v_matrix,
 )
 from .kernels import KernelSpec
 from .solver import (
@@ -177,35 +178,41 @@ def accuracy(predicted, actual) -> float:
 
 
 @dataclass(frozen=True)
-class _GranulatedFold:
-    """A scaled training fold granulated at one m, with its invariants and,
-    once built, the system of one kernel spec. `seconds` is the wall time of
-    granulation and invariant construction, plus the build of `system`."""
+class _PreparedFold:
+    """A scaled training fold ready to solve: the system of one kernel spec,
+    the fold's scaling, and `seconds`, the wall time of its k-means, its
+    invariants and the system's build."""
 
-    scaled: Dataset
+    system: GranulatedSystem
     params: ScalingParams
-    granulation: Granulation
-    invariants: GranuleWeights
     seconds: float
-    system: GranulatedSystem | None = None
 
 
-def _granulate_fold(
-    scaled: Dataset, params: ScalingParams, m_eff: int, seed: int, restarts: int, measure: str
-):
+def distinct_rows(scaled: Dataset) -> int:
+    """The number of distinct rows: the most granules k-means can fill."""
+    return np.unique(scaled.features, axis=0).shape[0]
+
+
+def _granulate_fold(scaled: Dataset, m_eff: int, seed: int, restarts: int, measure: str):
+    """k-means into m_eff granules and their normalized invariants under
+    `measure` ("uniform", or "empirical" on the scaled rows). Returns
+    (granulation, invariants, k-means seconds, invariant seconds)."""
     started = time.perf_counter()
     granulation = kmeans_granulate(scaled, m_eff, seed, restarts=restarts)
+    granulated = time.perf_counter()
     empirical = measure == "empirical"
     spec = MeasureSpec.empirical(scaled.features) if empirical else MeasureSpec.uniform()
     invariants = normalized_granule_invariants(scaled, granulation, spec)
-    return _GranulatedFold(scaled, params, granulation, invariants, time.perf_counter() - started)
+    return granulation, invariants, granulated - started, time.perf_counter() - granulated
 
 
-def _with_system(fold: _GranulatedFold, kernel: KernelSpec | None) -> _GranulatedFold:
-    """The fold with its system for `kernel` built, and the build time added."""
+def _prepare_fold(scaled: Dataset, params: ScalingParams, granulated, kernel) -> _PreparedFold:
+    """The fold of a `_granulate_fold` result with its system for `kernel` built."""
+    granulation, invariants, kmeans_seconds, invariant_seconds = granulated
     started = time.perf_counter()
-    system = granulated_system(fold.scaled, fold.granulation, fold.invariants, kernel)
-    return replace(fold, system=system, seconds=fold.seconds + time.perf_counter() - started)
+    system = granulated_system(scaled, granulation, invariants, kernel)
+    seconds = kmeans_seconds + invariant_seconds + time.perf_counter() - started
+    return _PreparedFold(system, params, seconds)
 
 
 def _check_budget(configs, l: int) -> None:
@@ -224,28 +231,29 @@ def train_fold_pipeline(
     Returns (model, FitDiagnostics, train_seconds); the scaling params
     are model.scaling. `measure` is the v-value measure of `lugsi train
     --measure`: "uniform" on the unit cube, or "empirical" with the scaled
-    training rows as reference. The clock covers granulation, invariant
-    construction, the system build and the solve. The evaluation driver
-    passes a training fold it already granulated at min(config.m, l), with
-    the uniform measure and this config's system built, in place of the raw
-    rows; then only the solve runs, and its time is added to the fold's.
+    training rows as reference. From raw rows it granulates at m_eff =
+    min(config.m, distinct scaled rows), and the clock covers k-means,
+    invariants, the system build and the solve. The evaluation driver
+    passes a prepared fold instead: a fold's scaling, its seconds and the
+    system of this config's kernel, which holds the rows, granulation and
+    kernel; then only the solve runs, and its time is added to the fold's.
     """
     fold = train
-    if not isinstance(fold, _GranulatedFold):
+    if not isinstance(fold, _PreparedFold):
         _check_budget([config], train.l)
         scaled, params = minmax_scale(train)
-        fold = _granulate_fold(scaled, params, min(config.m, train.l), seed, restarts, measure)
-    kernel = config.kernel_spec()
-    if fold.system is None:
-        fold = _with_system(fold, kernel)
+        m_eff = min(config.m, distinct_rows(scaled))
+        granulated = _granulate_fold(scaled, m_eff, seed, restarts, measure)
+        fold = _prepare_fold(scaled, params, granulated, config.kernel_spec())
+    system = fold.system
     started = time.perf_counter()
-    if kernel is None:
+    if system.kernel is None:
         model, diagnostics = fit_linear_lugsi(
-            fold.scaled, fold.granulation, fold.system, config.gamma, fold.params
+            system.data, system.granulation, system, config.gamma, fold.params
         )
     else:
         model, diagnostics = fit_kernel_lugsi(
-            fold.scaled, fold.granulation, fold.system, kernel, config.gamma, fold.params
+            system.data, system.granulation, system, system.kernel, config.gamma, fold.params
         )
     return model, diagnostics, fold.seconds + time.perf_counter() - started
 
@@ -254,39 +262,40 @@ def _units(data: Dataset, plan, configs, seed: int, restarts: int):
     """Work units in fold order, then in first-seen order of m_eff.
 
     Each fold's training rows are scaled, and its test rows rescaled, once.
-    A unit is one (fold, m_eff = min(m, training fold size)) with every
-    config it serves, paired with the config's index in `configs`.
+    A unit is one (fold, m_eff = min(m, distinct scaled training rows)) with
+    every config it serves, paired with the config's index in `configs`.
     """
     for fold in range(plan.fold_count):
         test_idx = plan.test_indices(fold)
         scaled, params = minmax_scale(data.subset(plan.train_indices(fold)))
         scaled_test = apply_scaling(data.subset(test_idx), params)
+        distinct = distinct_rows(scaled)
         by_m: dict[int, list] = {}
         for index, config in enumerate(configs):
-            by_m.setdefault(min(config.m, scaled.l), []).append((index, config))
+            by_m.setdefault(min(config.m, distinct), []).append((index, config))
         for m_eff, members in by_m.items():
             yield fold, scaled, params, scaled_test, test_idx, m_eff, members, seed, restarts
 
 
 def _evaluate_unit(unit) -> list:
-    """Granulate one (fold, m_eff) once, then for each kernel spec build its
-    system once and fit and score each of its configs; returns
+    """Granulate one (fold, m_eff) once, then for each kernel spec prepare
+    the fold with its system and fit and score each of its configs; returns
     (config index, FoldResult) pairs."""
     fold, scaled, params, scaled_test, test_idx, m_eff, members, seed, restarts = unit
-    granulated = _granulate_fold(scaled, params, m_eff, seed, restarts, "uniform")
+    granulated = _granulate_fold(scaled, m_eff, seed, restarts, "uniform")
     by_kernel: dict = {}
     for index, config in members:
         by_kernel.setdefault(config.kernel_spec(), []).append((index, config))
     out = []
     for kernel, group in by_kernel.items():
-        with_system = _with_system(granulated, kernel)
+        prepared = _prepare_fold(scaled, params, granulated, kernel)
         for index, config in group:
             # the one fold-fit path, so a traced grid still records one fold fit per (config, fold)
-            model, _, seconds = train_fold_pipeline(with_system, config, seed, restarts)
+            model, _, seconds = train_fold_pipeline(prepared, config, seed, restarts)
             predictions = predict_labels(model, scaled_test.features)
             score = accuracy(predictions, scaled_test.labels)
             out.append((index, FoldResult(fold, score, seconds, m_eff, test_idx, predictions)))
-        del with_system  # one system live at a time
+        del prepared  # one system live at a time
     return out
 
 
@@ -338,8 +347,8 @@ def cross_validate(
 ) -> ConfigResult:
     """Per-fold accuracies and train times for one configuration.
 
-    m values larger than a training fold are clipped to the fold size and
-    surface through FoldResult.m_effective.
+    m values above a training fold's number of distinct scaled rows are
+    clipped to that number and surface through FoldResult.m_effective.
     """
     return _evaluate(data, [config], folds, seed, restarts)[0]
 
@@ -464,9 +473,9 @@ def benchmark_scaling(
 ) -> list[ScalingBenchRow]:
     """Timing sweep over dataset sizes on synthetic blob data.
 
-    Per size: generate data, cluster it, time the invariant construction
-    (normalized v vectors and targets; the per-granule accumulations are
-    part of each fit), time the linear fit (median of
+    Per size: generate data, then time its k-means and invariants as a cv
+    fold does (normalized v vectors and targets; the per-granule
+    accumulations are part of each fit), time the linear fit (median of
     SCALING_FIT_REPEATS), and, up to SCALING_V_MATRIX_LIMIT rows, time
     full V-matrix assembly for contrast. Accuracy is from an 80/20 holdout.
     Every size must leave at least m training rows; m is never clipped.
@@ -479,21 +488,15 @@ def benchmark_scaling(
         if l_train < m:
             raise DataError(f"size {l} leaves {l_train} training rows, fewer than m={m}")
     rows = []
-    measure = MeasureSpec.uniform()
     for l, l_train in zip(sizes, train_rows):
         raw = generate_ndc(l, features, SCALING_DATA_CLUSTERS, seed)
         train = raw.subset(np.arange(l_train))
         test = raw.subset(np.arange(l_train, l))
         scaled, params = minmax_scale(train)
 
-        started = time.perf_counter()
-        granulation = kmeans_granulate(scaled, m, seed, restarts=restarts)
-        granulate_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        invariants = normalized_granule_invariants(scaled, granulation, measure)
-        assembly_seconds = time.perf_counter() - started
-
+        granulation, invariants, granulate_seconds, assembly_seconds = _granulate_fold(
+            scaled, m, seed, restarts, "uniform"
+        )
         fit_times = []
         for _ in range(SCALING_FIT_REPEATS):
             started = time.perf_counter()
@@ -504,7 +507,7 @@ def benchmark_scaling(
         v_matrix_seconds = None
         if l <= SCALING_V_MATRIX_LIMIT:
             started = time.perf_counter()
-            v_matrix(scaled, measure)
+            v_matrix(scaled, MeasureSpec.uniform())
             v_matrix_seconds = time.perf_counter() - started
 
         scaled_test = apply_scaling(test, params)

@@ -45,7 +45,8 @@ class Granulation:
     stable argsort of the assignments, lists the rows granule by granule
     and ascending within each, and `ends` holds the cumulative granule
     sizes. No granule is empty. clustering_error is the sum of squared
-    distances of each row to its assigned centroid.
+    distances of each row to its assigned centroid. The arrays are
+    read-only copies, so the caller's own arrays stay writeable.
     """
 
     assignments: np.ndarray
@@ -57,8 +58,8 @@ class Granulation:
     ends: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        assignments = np.asarray(self.assignments, dtype=np.int64)
-        centroids = np.asarray(self.centroids, dtype=np.float64)
+        assignments = np.array(self.assignments, dtype=np.int64)
+        centroids = np.array(self.centroids, dtype=np.float64)
         m = centroids.shape[0]
         if m < 1:
             raise DataError("need at least one centroid")

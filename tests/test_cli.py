@@ -115,6 +115,23 @@ class TestTrain:
         assert result.stderr == "data error: m=31 exceeds the number of samples 30\n"
         assert not model.exists()
 
+    def test_more_clusters_than_distinct_rows_is_data_error(self, tmp_path, train_csv, monkeypatch):
+        # every row written twice: 60 rows, 30 distinct; cv would clip m = 31 to 30
+        twice = tmp_path / "twice.csv"
+        twice.write_text(train_csv.read_text(encoding="utf-8") * 2, encoding="utf-8")
+
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("k-means ran before m was checked")
+
+        monkeypatch.setattr(evaluation, "kmeans_granulate", no_kmeans)
+        model = tmp_path / "m.json"
+        result = run_cli(
+            "train", "--data", str(twice), "--model-out", str(model), "--clusters", "31"
+        )
+        assert result.returncode == 3
+        assert result.stderr == "data error: m=31 exceeds the 30 distinct scaled rows\n"
+        assert not model.exists()
+
     def test_gamma_cost_conflict(self, tmp_path, train_csv):
         result = run_cli(
             "train", "--data", str(train_csv), "--model-out", str(tmp_path / "m.json"),

@@ -18,6 +18,7 @@ from lugsi import (
     cluster_sweep,
     cross_validate,
     default_m_values,
+    generate_ndc,
     grid_search,
     kfold_split,
 )
@@ -131,6 +132,27 @@ class TestCrossValidate:
         assert result.m_clipped
         for fr in result.fold_results:
             assert fr.m_effective == 12
+
+    def test_m_clipped_to_distinct_training_rows(self, rng, monkeypatch):
+        errors = []
+        granulate = lugsi.evaluation.kmeans_granulate
+
+        def recording(data, m, *args, **kwargs):
+            granulation = granulate(data, m, *args, **kwargs)
+            errors.append(granulation.clustering_error)
+            return granulation
+
+        monkeypatch.setattr(lugsi.evaluation, "kmeans_granulate", recording)
+        # 20 random rows written twice: each 30-row training fold has 10 to 20 distinct rows
+        half = random_binary_dataset(rng, 20, 3)
+        data = Dataset(np.vstack([half.features] * 2), np.concatenate([half.labels] * 2))
+        plan = kfold_split(data, 4, 2)
+        result = cross_validate(data, CVConfig("linear", gamma=0.5, m=25), folds=4, seed=2)
+        assert result.m_clipped
+        assert errors == [0.0] * 4
+        for fr in result.fold_results:
+            train = data.features[plan.train_indices(fr.fold)]
+            assert fr.m_effective == np.unique(train, axis=0).shape[0]
 
     def test_reported_accuracy_matches_persisted_predictions(self, rng):
         data = random_binary_dataset(rng, 40, 3)
@@ -381,6 +403,30 @@ class TestBenchmarks:
             assert row.fit_seconds > 0.0
             assert row.v_matrix_seconds is not None and row.v_matrix_seconds > 0.0
             assert 0.0 <= row.holdout_accuracy <= 1.0
+
+    def test_fits_the_model_train_fits(self, monkeypatch):
+        models = []
+        fit = lugsi.evaluation.fit_linear_lugsi
+
+        def capturing(*args, **kwargs):
+            model, diagnostics = fit(*args, **kwargs)
+            models.append(model)
+            return model, diagnostics
+
+        monkeypatch.setattr(lugsi.evaluation, "fit_linear_lugsi", capturing)
+        sizes, features, m, seed, gamma, restarts = (300, 600), 4, 5, 3, 0.5, 2
+        rows = benchmark_scaling(sizes, features, m, seed, gamma, restarts)
+        repeats = lugsi.evaluation.SCALING_FIT_REPEATS
+        assert len(models) == repeats * len(sizes)
+        bench_models = models[repeats - 1::repeats]
+        for l, row, bench_model in zip(sizes, rows, bench_models):
+            raw = generate_ndc(l, features, lugsi.evaluation.SCALING_DATA_CLUSTERS, seed)
+            l_train = l - l // 5
+            train, test = raw.subset(np.arange(l_train)), raw.subset(np.arange(l_train, l))
+            model, _, _ = train_fold_pipeline(train, CVConfig("linear", gamma, m), seed, restarts)
+            assert dump_document(model_document(bench_model)) == dump_document(model_document(model))
+            predicted = predict_labels(model, apply_scaling(test, model.scaling).features)
+            assert row.holdout_accuracy == accuracy(predicted, test.labels)
 
     def test_v_matrix_skipped_above_limit(self, monkeypatch):
         monkeypatch.setattr(lugsi.evaluation, "SCALING_FIT_REPEATS", 1)

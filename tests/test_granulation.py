@@ -323,6 +323,15 @@ class TestGranulationValidation:
         with pytest.raises(DataError, match=r"assignments must lie in \[0, 2\)"):
             self.build(assignments)
 
+    def test_arguments_are_copied_not_frozen(self):
+        assignments, centroids = np.array([1, 0, 1]), np.zeros((2, 2))
+        g = Granulation(assignments, centroids, 0.0, 1, 0)
+        assert assignments.flags.writeable and centroids.flags.writeable
+        assignments[0], centroids[0, 0] = 0, 5.0
+        np.testing.assert_array_equal(g.assignments, [1, 0, 1])
+        assert g.centroids[0, 0] == 0.0
+        assert not g.assignments.flags.writeable and not g.centroids.flags.writeable
+
     def test_no_granules(self):
         with pytest.raises(DataError, match="at least one centroid"):
             self.build([], m=0)

@@ -20,6 +20,7 @@ src=$(cd "$1" && pwd)
 mkdir -p "$2"
 cd "$2"
 cp "$src/data/wine.csv" wine.csv
+cat wine.csv wine.csv > wine_twice.csv
 
 lugsi() {
     PYTHONPATH="$src/src" python3 -m lugsi.cli "$@"
@@ -81,3 +82,7 @@ lugsi cv --data wine.csv --c-grid 4 --m-grid 1,3,7,89 --seed 1 --timing zero \
 # the default rbf grid: 765 configurations x 5 folds
 lugsi cv --data wine.csv --kernel rbf --seed 1 --timing zero \
     --report-out cv_rbf_default.json --csv-out cv_rbf_default.csv > cv_rbf_default.stdout
+# every wine row twice: m = 200 is above each training fold's 169-173
+# distinct rows, so this byte-gates the clip of m to the distinct rows
+lugsi cv --data wine_twice.csv --c-grid 1 --m-grid 7,200 --restarts 2 --seed 1 --timing zero \
+    --report-out cv_wine_twice.json --csv-out cv_wine_twice.csv > cv_wine_twice.stdout
