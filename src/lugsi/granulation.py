@@ -2,23 +2,37 @@
 
 Lloyd iterations from k-means++ seeding, restarted a configurable number
 of times with the lowest-error run kept. The restarts stop at a run with
-zero clustering error, since no later run can beat it. The k-means++
-seeding chooses its update by input size: up to FULL_SEEDING_ENTRIES
-entries (l x n; a 142-row wine fold has 1846) each pick updates every
-row, and above it a pick skips the rows that the new centre provably
-cannot move (triangle inequality). Both pick exactly the same centres.
-Every assignment pass fills one reused l x m buffer with the products
-2x.c from a single matmul, then takes the distances and their argmin in
-cache-sized row blocks. Everything is deterministic under the seed:
-assignment ties go to the lowest centroid index, granule contributions
-are ordered by index, and clusters that empty during an update are
-repaired by stealing the point farthest from the empty cluster's
-current centroid.
+zero clustering error, since no later run can beat it. The first restart
+runs alone, so a unit whose first run reaches zero error (m = distinct
+rows) costs one restart. The others run in stacks of
+max(1, STACK_ENTRIES // (l x max(m, n))) restarts (5 on a 142-row wine
+fold at m = 89), seeded and iterated as one array pass, because on small
+folds a restart's cost is numpy call overhead, not arithmetic. Each
+restart in a stack draws, picks and iterates exactly as it would alone.
+A requested error trace runs the restarts one by one, so it stays per
+run and in order.
+
+A single restart's k-means++ seeding chooses its update by input size:
+up to FULL_SEEDING_ENTRIES entries (l x n; a 142-row wine fold has 1846)
+each pick updates every row, and above it a pick skips the rows that the
+new centre provably cannot move (triangle inequality). Both pick exactly
+the same centres. A stack's seeding takes the full update for all its
+restarts at once, with the distance rows from an l x l table when that
+fits STACK_ENTRIES. A single restart's assignment pass fills one reused
+l x m buffer with the products 2x.c from a single matmul, then takes the
+distances and their argmin in cache-sized row blocks; a stack's pass
+takes each restart's products from that same one matmul into that
+buffer, its distances into its slice of one (stack, l, m) array, and the
+argmin of the whole stack at once. Everything is
+deterministic under the seed: assignment ties go to the lowest centroid
+index, granule contributions are ordered by index, and clusters that
+empty during an update are repaired by stealing the point farthest from
+the empty cluster's current centroid.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +49,11 @@ PRUNE_FLOOR = 1e-300
 # seeding inputs of at most this many entries (l x n) update every row per
 # pick; larger ones prune (the crossover measured about 2^13 entries)
 FULL_SEEDING_ENTRIES = 1 << 13
+# restarts after the first run in stacks whose (stack, l, max(m, n))
+# arrays hold about this many entries (512 KB); seeding reads an l x l
+# distance table when it fits too. At 2^17 the default wine grid ran no
+# faster and its peak RSS rose about 0.5 MB.
+STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -149,28 +168,123 @@ def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
     return X[chosen].copy()
 
 
-def _assign(
-    X: np.ndarray, centroids: np.ndarray, nearest: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """Nearest centroid per row, then give every empty cluster one point.
+def _distance_rows(X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Squared distances from picked rows to every row, (picks, l).
 
-    `nearest` maps the centroids to each row's nearest index: it is
-    `kernels.nearest_centres` bound to the rows' 2X, their norms and the
-    l x m product buffer, all made once per `kmeans_granulate`. The point
-    farthest from the empty cluster's current centroid is moved there,
-    skipping points that are the sole member of their own cluster.
+    Row p is bitwise np.sum((X - X[p]) ** 2, axis=1), the full update's.
+    When l x l fits STACK_ENTRIES the rows come from an l x l table, each
+    filled the first time its row is picked; otherwise each call takes one
+    (picks, l, n) step.
     """
-    m = centroids.shape[0]
-    assignments = nearest(centroids)
-    counts = np.bincount(assignments, minlength=m)
-    for k in np.flatnonzero(counts == 0):
-        dist = np.sum((X - centroids[k]) ** 2, axis=1)
+    l = X.shape[0]
+    if l * l > STACK_ENTRIES:
+        return lambda picks: np.sum((X - X[picks, None]) ** 2, axis=2)
+    table, filled = np.empty((l, l)), np.zeros(l, dtype=bool)
+
+    def rows(picks: np.ndarray) -> np.ndarray:
+        fresh = picks[~filled[picks]]
+        if fresh.size:
+            table[fresh] = np.sum((X - X[fresh, None]) ** 2, axis=2)
+            filled[fresh] = True
+        return table[picks]
+
+    return rows
+
+
+def _seed_stack(
+    X: np.ndarray,
+    m: int,
+    rng: np.random.Generator,
+    count: int,
+    distance_rows: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray | None:
+    """k-means++ seeding of `count` restarts at once: (count, m, n) centres.
+
+    Each restart draws as `_seed_centroids` would, in restart order: its
+    first row, then m - 1 uniforms. A pick is the count of cdf <= u, which
+    is searchsorted(u, side="right") on the non-decreasing cdf, and every
+    update is the full update's np.minimum, so the centres are bitwise
+    those of `count` calls of `_seed_centroids`. That holds while every
+    total is finite and positive; at any other total (duplicate rows,
+    underflowing or overflowing distances) `_seed_centroids` would draw an
+    integer or raise, so this returns None and the caller seeds per restart.
+    """
+    l = X.shape[0]
+    chosen = np.empty((count, m), dtype=np.int64)
+    uniforms = np.empty((count, m - 1))
+    for r in range(count):
+        chosen[r, 0] = rng.integers(l)
+        uniforms[r] = rng.random(m - 1)
+    d2 = distance_rows(chosen[:, 0])
+    cdf = np.empty_like(d2)
+    for k in range(1, m):
+        totals = d2.sum(axis=1, keepdims=True)
+        if not (0.0 < totals.min() and totals.max() < np.inf):
+            return None
+        np.divide(d2, totals, out=cdf)
+        cdf.cumsum(axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        chosen[:, k] = (cdf <= uniforms[:, k - 1 : k]).sum(axis=1)
+        np.minimum(d2, distance_rows(chosen[:, k]), out=d2)
+    return X[chosen]
+
+
+def _seed_stacks(X: np.ndarray, m: int, rng: np.random.Generator, restarts: int, stack: int):
+    """The seeds of every restart in run order, as (b, m, n) stacks.
+
+    The first restart is seeded alone; the others in stacks of at most
+    `stack`. A stack of one, or a stack whose stacked seeding returns None,
+    is seeded by `_seed_centroids` one restart at a time after the
+    generator state is restored, each restart a stack of its own. Lazy, so
+    a caller that stops early seeds no further restart.
+    """
+    yield _seed_centroids(X, m, rng)[None]
+    distance_rows = None
+    for start in range(1, restarts, stack):
+        count = min(stack, restarts - start)
+        if count > 1:
+            distance_rows = distance_rows or _distance_rows(X)
+            state = rng.bit_generator.state
+            seeds = _seed_stack(X, m, rng, count, distance_rows)
+            if seeds is not None:
+                yield seeds
+                continue
+            rng.bit_generator.state = state
+        for _ in range(count):
+            yield _seed_centroids(X, m, rng)[None]
+
+
+def _assign(
+    X: np.ndarray,
+    centroids: np.ndarray,
+    doubled: np.ndarray,
+    norms: np.ndarray,
+    products: np.ndarray,
+) -> np.ndarray:
+    """Nearest centroid per row for each restart of a (b, m, n) stack, then
+    give every empty cluster one point; returns (b, l) assignments.
+
+    A single restart takes `kernels.nearest_centres`' blocked pass, a
+    stack its stacked one; both fill the one l x m `products` buffer. The
+    rows' 2X (`doubled`) and norms are made once per `kmeans_granulate`. The
+    point farthest from the empty cluster's current centroid is moved
+    there, skipping points that are the sole member of their own cluster.
+    """
+    count, m, _ = centroids.shape
+    if count == 1:
+        assignments = nearest_centres(centroids[0], doubled, norms, products)[None]
+    else:
+        assignments = nearest_centres(centroids, doubled, norms, products)
+    flat = (assignments + m * np.arange(count)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=count * m).reshape(count, m)
+    for r, k in zip(*np.nonzero(counts == 0)):
+        dist = np.sum((X - centroids[r, k]) ** 2, axis=1)
         order = np.argsort(-dist, kind="stable")
         for idx in order:
-            if counts[assignments[idx]] > 1:
-                counts[assignments[idx]] -= 1
-                assignments[idx] = k
-                counts[k] = 1
+            if counts[r, assignments[r, idx]] > 1:
+                counts[r, assignments[r, idx]] -= 1
+                assignments[r, idx] = k
+                counts[r, k] = 1
                 break
         else:
             raise DataError("cannot repair empty cluster: fewer distinct points than granules")
@@ -184,35 +298,62 @@ def _error(X: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> flo
 def _lloyd(
     X: np.ndarray,
     columns: np.ndarray,
-    centroids: np.ndarray,
-    nearest: Callable[[np.ndarray], np.ndarray],
+    seeds: np.ndarray,
+    doubled: np.ndarray,
+    norms: np.ndarray,
+    products: np.ndarray,
     error_trace: list | None,
-) -> tuple[np.ndarray, np.ndarray, float, int]:
-    m = centroids.shape[0]
-    assignments = None
-    for iterations in range(1, MAX_ITERS + 1):
-        fresh = _assign(X, centroids, nearest)
-        if error_trace is not None:
-            error_trace.append(_error(X, centroids, fresh))
-        if assignments is not None and np.array_equal(fresh, assignments):
-            break
-        assignments = fresh
-        # each centroid is the mean of its cluster; bincount sums rows in index order
+) -> list:
+    """Lloyd iterations of a stack of restarts from their (b, m, n) seeds.
+
+    Returns one (assignments, centroids, error, iterations) per restart, in
+    stack order, each that restart's run alone. A restart stops when its
+    assignments repeat, or one pass after no centroid moved by TOL or
+    more, or one pass after MAX_ITERS iterations (that last pass makes the
+    assignments match the stored centroids); then it leaves the stack.
+    The centroid sums are one bincount per feature over all active
+    restarts, restart r's clusters offset by r * m, and each sums its rows
+    in index order. `error_trace` follows restart 0.
+    """
+    count, m, _ = seeds.shape
+    l = X.shape[0]
+    weights = np.tile(columns, count) if count > 1 else columns  # count copies of each feature
+    runs: list = [None] * count
+    index = np.arange(count)  # the stack position of each active restart
+    iterations = np.zeros(count, dtype=np.int64)
+    final = np.zeros(count, dtype=bool)  # the next pass is the restart's last
+    centroids, previous = seeds, None
+    for step in range(1, MAX_ITERS + 2):
+        fresh = _assign(X, centroids, doubled, norms, products)
+        iterations[~final] = step
+        if error_trace is not None and not final[0]:
+            error_trace.append(_error(X, centroids[0], fresh[0]))
+        done = final if previous is None else final | (fresh == previous).all(axis=1)
+        if done.any():
+            for r in np.flatnonzero(done):
+                assignments, settled = fresh[r], centroids[r]
+                error = _error(X, settled, assignments)
+                runs[index[r]] = (assignments, settled, error, int(iterations[r]))
+            if done.all():
+                break
+            keep = ~done
+            index, iterations, centroids, fresh = (
+                index[keep], iterations[keep], centroids[keep], fresh[keep]
+            )
+        active = len(index)
+        flat = (fresh + m * np.arange(active)[:, None]).ravel()
         sums = np.column_stack(
-            [np.bincount(assignments, weights=col, minlength=m) for col in columns]
+            [np.bincount(flat, weights=w[: active * l], minlength=active * m) for w in weights]
         )
-        updated = sums / np.bincount(assignments, minlength=m)[:, None]
-        shift = np.max(np.linalg.norm(updated - centroids, axis=1))
-        centroids = updated
+        sizes = np.bincount(flat, minlength=active * m)
+        # each centroid is the mean of its cluster
+        updated = (sums / sizes[:, None]).reshape(centroids.shape)
+        shift = np.linalg.norm(updated - centroids, axis=2).max(axis=1)
+        centroids, previous = updated, fresh
         if error_trace is not None:
-            error_trace.append(_error(X, centroids, assignments))
-        if shift < TOL:
-            # final consistency pass so assignments match the stored centroids
-            assignments = _assign(X, centroids, nearest)
-            break
-    else:
-        assignments = _assign(X, centroids, nearest)
-    return assignments, centroids, _error(X, centroids, assignments), iterations
+            error_trace.append(_error(X, centroids[0], previous[0]))
+        final = (shift < TOL) | (step == MAX_ITERS)
+    return runs
 
 
 def kmeans_granulate(
@@ -227,16 +368,20 @@ def kmeans_granulate(
     Runs up to `restarts` independently seeded Lloyd passes and keeps the
     one with the lowest clustering error (ties to the earliest run). A run
     with zero error cannot be beaten, so the restarts stop there; with
-    distinct rows and m = l that is normally the first run. The k-means++
-    seeding prunes rows by the triangle inequality but picks exactly the
-    centres a full update would. Each pass stops when the assignments
-    repeat, when no centroid moves by TOL or more, or after MAX_ITERS
-    iterations. The rows' 2X, their norms, their C-contiguous transpose
-    (for the centroid sums) and the one l x m product buffer are made once
-    here and shared by every pass of every restart. When an `error_trace`
-    list is supplied (debug aid, meaningful with restarts=1) the per-step
-    clustering errors are appended to it; with restarts > 1 it holds only
-    the runs made.
+    distinct rows and m = l that is normally the first run. The first
+    restart runs alone, so such a unit costs one restart. The others run in
+    stacks of max(1, STACK_ENTRIES // (l * max(m, n))) restarts, seeded
+    and iterated together; each keeps the seeds, iterations and result it
+    would have alone, and the stack after a zero-error run is never seeded.
+    The k-means++ seeding of a single restart prunes rows by the triangle
+    inequality but picks exactly the centres a full update would. Each pass
+    stops when the assignments repeat, when no centroid moves by TOL or
+    more, or after MAX_ITERS iterations. The rows' 2X, their norms, their
+    C-contiguous transpose (for the centroid sums) and the one l x m
+    product buffer are made once here and shared by every pass of every
+    restart. When an `error_trace` list is supplied (debug aid, meaningful
+    with restarts=1) the restarts run one at a time and the per-step
+    clustering errors of each run made are appended to it in order.
     """
     if m < 1:
         raise DataError("m must be >= 1")
@@ -246,14 +391,19 @@ def kmeans_granulate(
         raise DataError("restarts must be >= 1")
 
     X = data.features
+    l, n = X.shape
     rng = make_rng(seed)
+    stack = 1 if error_trace is not None else max(1, STACK_ENTRIES // (l * max(m, n)))
     columns = np.ascontiguousarray(X.T)  # one contiguous row per feature
-    nearest = partial(
-        nearest_centres, doubled=2.0 * X, norms=row_norms(X), products=np.empty((data.l, m))
+    doubled, norms = 2.0 * X, row_norms(X)
+    products = np.empty((l, m))
+    runs = (
+        run
+        for seeds in _seed_stacks(X, m, rng, restarts, stack)
+        for run in _lloyd(X, columns, seeds, doubled, norms, products, error_trace)
     )
     best = None
-    for _ in range(restarts):
-        run = _lloyd(X, columns, _seed_centroids(X, m, rng), nearest, error_trace)
+    for run in runs:
         if best is None or run[2] < best[2]:
             best = run
         if best[2] == 0.0:

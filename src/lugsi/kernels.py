@@ -157,7 +157,22 @@ def nearest_centres(
     one matmul: a product split into row blocks can change bits under a
     multi-threaded BLAS, while the blocked elementwise pass and the row-wise
     argmin cannot. So the indices are those of the one-piece distances.
+
+    `centres` may also be a (b, centres, n) stack of centre sets. Each
+    set's products then come from its own one-piece matmul into
+    `products`, and its distances go into its slice of one
+    (b, rows, centres) array, whose argmin is taken at once. The (b, rows)
+    indices are those of b separate calls.
     """
+    if centres.ndim == 3:
+        distances = np.empty((len(centres),) + products.shape)
+        col_norms = np.einsum("bij,bij->bi", centres, centres)
+        for centre_set, set_norms, out in zip(centres, col_norms, distances):
+            np.matmul(doubled, centre_set.T, out=products)
+            np.add(norms[:, None], set_norms, out=out)
+            out -= products
+        np.maximum(distances, 0.0, out=distances)
+        return distances.argmin(axis=2)
     np.matmul(doubled, centres.T, out=products)
     nearest = np.empty(len(products), dtype=np.intp)
     for block, d2 in _distance_blocks(norms, row_norms(centres), products):

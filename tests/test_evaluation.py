@@ -1,5 +1,8 @@
 """Cross-validation, grid search, and benchmark harness contracts."""
 
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -29,6 +32,7 @@ from lugsi.evaluation import (
     CVConfig,
     FoldResult,
     apply_scaling,
+    distinct_rows,
     plot_csv_lines,
     report_document,
     select_best,
@@ -389,6 +393,44 @@ class TestDefaults:
 
     def test_tiny_dataset_deduplicates(self):
         assert default_m_values(7) == (1, 3, 7)
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.5, 1.0]],
+            [[1.0, 2.0], [0.0, 1.0], [1.0, 2.0], [1.0, 3.0], [0.0, 1.0], [1.0, 2.0]],
+            [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0], [1.0, 0.0], [1.0, -0.0]],
+        ],
+        ids=["one-row", "duplicates", "signed-zeros"],
+    )
+    def test_count_is_that_of_unique(self, rows):
+        features = np.array(rows)
+        data = Dataset(features, np.arange(len(rows)) % 2)
+        assert distinct_rows(data) == np.unique(features, axis=0).shape[0]
+
+    def test_random_rows_on_a_grid(self, rng):
+        for l in (2, 9, 40, 300):
+            features = np.round(rng.random((l, 3)) * 2) / 2
+            data = Dataset(features, np.arange(l) % 2)
+            assert distinct_rows(data) == np.unique(features, axis=0).shape[0]
+
+    def test_leaves_numpy_ma_unloaded(self):
+        script = (
+            "import sys, numpy as np, lugsi\n"
+            "from lugsi.evaluation import distinct_rows\n"
+            "distinct_rows(lugsi.Dataset(np.eye(3)[[0, 1, 1]], np.array([0, 1, 0])))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestBenchmarks:

@@ -212,6 +212,101 @@ class TestEachSeedingUpdate(TestExactFastKmeans):
         monkeypatch.setattr(granulation, "FULL_SEEDING_ENTRIES", limit)
 
 
+@pytest.mark.parametrize("entries", [0, 2**62], ids=["one-restart-per-stack", "one-stack"])
+class TestEachStackSize(TestExactFastKmeans):
+    """The checks above with every restart after the first run alone (a
+    stack limit of 0) or all of them in one stack (no limit)."""
+
+    @pytest.fixture(autouse=True)
+    def stack_limit(self, monkeypatch, entries):
+        monkeypatch.setattr(granulation, "STACK_ENTRIES", entries)
+
+
+def assert_is_the_reference(X, m, seed, restarts):
+    g = kmeans_granulate(Dataset(X, np.arange(len(X)) % 2), m, seed, restarts=restarts)
+    assignments, centroids, _, error, iterations = reference_kmeans(X, m, seed, restarts)
+    assert g.assignments.tobytes() == assignments.tobytes()
+    assert g.centroids.tobytes() == centroids.tobytes()
+    assert (g.clustering_error, g.iterations_run) == (error, iterations)
+
+
+@pytest.fixture
+def stacked_seedings(monkeypatch) -> list:
+    """Record each stacked seeding: True where it fell back (returned None)."""
+    seen = []
+    stacked = granulation._seed_stack
+
+    def recording(*args):
+        seeds = stacked(*args)
+        seen.append(seeds is None)
+        return seeds
+
+    monkeypatch.setattr(granulation, "_seed_stack", recording)
+    return seen
+
+
+class TestStackedSeedingFallback:
+    """A stacked seeding that meets a total that is not finite and positive
+    restores the generator and seeds that stack per restart."""
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_duplicate_rows(self, stacked_seedings, m):
+        # 12 rows drawn from 3 distinct ones: the 4th pick meets a zero total
+        gen = np.random.default_rng(m)
+        X = gen.random((3, 2))[gen.integers(0, 3, 12)]
+        assert_is_the_reference(X, m, m, 4)
+        assert stacked_seedings == [True]
+
+    @pytest.mark.parametrize("seed", [16, 18, 24])
+    def test_subnormal_grid(self, stacked_seedings, seed):
+        # squared distances between neighbours on the grid underflow to 0
+        gen = np.random.default_rng(seed)
+        X = np.round(gen.random((40, 2)) * 50) / 50 * 1e-161
+        for m in (10, 25, 35):
+            assert_is_the_reference(X, m, seed, 3)
+        assert stacked_seedings == [False, True, True]
+
+    @pytest.mark.parametrize("seed", [1, 3, 6])
+    def test_overflow_in_a_later_restart_is_a_data_error(self, stacked_seedings, seed):
+        # the first restart starts in the middle, whose distances sum finitely;
+        # a later one starts at an end, whose distances sum past the largest double
+        rows = np.array([[-6e153], [0.0], [1.0], [2.0], [3.0], [6e153]])
+        data = Dataset(rows, np.arange(6) % 2)
+        with np.errstate(over="ignore"), pytest.raises(DataError, match="overflow"):
+            kmeans_granulate(data, 2, seed)
+        assert stacked_seedings == [True]
+
+
+def test_wine_sized_fold_runs_its_restarts_in_stacks(monkeypatch):
+    # a 142 x 13 training fold at m = 89: restart 1 alone, then stacks of
+    # 65536 // (142 * 89) = 5 and the 4 left, none seeded one by one
+    X = generate_ndc(142, 13, 10, seed=5).features
+    seed_one = granulation._seed_centroids
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return seed_one(*args)
+
+    monkeypatch.setattr(granulation, "_seed_centroids", counting)
+    assert_is_the_reference(X, 89, 5, 10)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("l", [142, 400])
+def test_both_distance_row_sources_are_the_full_update(monkeypatch, l):
+    X = generate_ndc(l, 13, 10, seed=l).features
+    picks = np.random.default_rng(l).integers(0, l, (6, 3))
+    sources = []
+    for entries in (2**62, 0):  # the l x l table, then one step per call
+        monkeypatch.setattr(granulation, "STACK_ENTRIES", entries)
+        sources.append(granulation._distance_rows(X))
+    for row in picks:
+        full = np.stack([np.sum((X - X[p]) ** 2, axis=1) for p in row])
+        for rows in sources:
+            assert rows(row).tobytes() == full.tobytes()
+
+
 @pytest.mark.parametrize("l", [142, 600, 5000])
 def test_both_seeding_updates_pick_the_same_centres(monkeypatch, l):
     X = generate_ndc(l, 13, 10, seed=l).features

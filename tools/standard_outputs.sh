@@ -71,6 +71,9 @@ train rbf_ndc_1250 ndc.csv --clusters 1250 --kernel rbf --restarts 2
 
 lugsi granulate --data wine.csv --clusters 5 --out granulate.csv
 lugsi granulate --data wine.csv --clusters 5 --emit-v --out granulate_v.csv
+# 89 granules of 178 rows: restarts 2-5 and 6-9 run as stacks, seeded
+# from the l x l distance table
+lugsi granulate --data wine.csv --clusters 89 --out granulate_89.csv
 # 300 granules of 2500 rows: every assignment pass runs over several row
 # blocks of the distances, the last one short
 lugsi granulate --data ndc.csv --clusters 300 --seed 1 --restarts 2 --out granulate_ndc.csv
