@@ -2,32 +2,29 @@
 
 Lloyd iterations from k-means++ seeding, restarted a configurable number
 of times with the lowest-error run kept. The restarts stop at a run with
-zero clustering error, since no later run can beat it. The first restart
-runs alone, so a unit whose first run reaches zero error (m = distinct
-rows) costs one restart. The others run in stacks of
-max(1, STACK_ENTRIES // (l x max(m, n))) restarts (5 on a 142-row wine
-fold at m = 89), seeded and iterated as one array pass, because on small
-folds a restart's cost is numpy call overhead, not arithmetic. Each
-restart in a stack draws, picks and iterates exactly as it would alone.
-A requested error trace runs the restarts one by one, so it stays per
-run and in order.
+zero clustering error, since no later run can beat it.
 
-A single restart's k-means++ seeding chooses its update by input size:
-up to FULL_SEEDING_ENTRIES entries (l x n; a 142-row wine fold has 1846)
-each pick updates every row, and above it a pick skips the rows that the
-new centre provably cannot move (triangle inequality). Both pick exactly
-the same centres. A stack's seeding takes the full update for all its
-restarts at once, with the distance rows from an l x l table when that
-fits STACK_ENTRIES. A single restart's assignment pass fills one reused
-l x m buffer with the products 2x.c from a single matmul, then takes the
-distances and their argmin in cache-sized row blocks; a stack's pass
-takes each restart's products from that same one matmul into that
-buffer, its distances into its slice of one (stack, l, m) array, and the
-argmin of the whole stack at once. Everything is
-deterministic under the seed: assignment ties go to the lowest centroid
-index, granule contributions are ordered by index, and clusters that
-empty during an update are repaired by stealing the point farthest from
-the empty cluster's current centroid.
+One size rule picks how the restarts run: B = STACK_ENTRIES //
+(l x max(m, n)) restarts fit one stack (5 on a 142-row wine fold at
+m = 89). When B >= 1 every restart runs in stacks of at most B, seeded
+and iterated as one array pass, because on small folds a restart's cost
+is numpy call overhead, not arithmetic. A stack's k-means++ seeding
+updates every row per pick, for all its restarts at once, with the
+distance rows from an l x l table when that fits STACK_ENTRIES. When
+B = 0 each restart runs alone: its seeding skips the rows that a new
+centre provably cannot move (triangle inequality), and its assignment
+pass fills one reused l x m buffer with the products 2x.c from a single
+matmul, then takes the distances and their argmin in cache-sized row
+blocks. A stack's pass takes each restart's products from that same one
+matmul into that buffer, its distances into its slice of one
+(stack, l, m) array, and the argmin of the whole stack at once. Each
+restart draws, picks and iterates exactly as it would alone, on either
+path. A requested error trace runs the restarts one by one, so it stays
+per run and in order. Everything is deterministic under the seed:
+assignment ties go to the lowest centroid index, granule contributions
+are ordered by index, and clusters that empty during an update are
+repaired by stealing the point farthest from the empty cluster's current
+centroid.
 """
 
 from collections.abc import Callable
@@ -46,13 +43,10 @@ TOL = 1e-6  # on the maximum centroid displacement between iterations
 # seeding skips a row when ||c - c_j||^2 >= PRUNE_FACTOR * d2 + PRUNE_FLOOR
 PRUNE_FACTOR = 4.0 * (1.0 + 1e-9)
 PRUNE_FLOOR = 1e-300
-# seeding inputs of at most this many entries (l x n) update every row per
-# pick; larger ones prune (the crossover measured about 2^13 entries)
-FULL_SEEDING_ENTRIES = 1 << 13
-# restarts after the first run in stacks whose (stack, l, max(m, n))
-# arrays hold about this many entries (512 KB); seeding reads an l x l
-# distance table when it fits too. At 2^17 the default wine grid ran no
-# faster and its peak RSS rose about 0.5 MB.
+# restarts run in stacks whose (stack, l, max(m, n)) arrays hold about
+# this many entries (512 KB), and alone when one restart does not fit;
+# stacked seeding reads an l x l distance table when it fits too. At 2^17
+# the default wine grid ran no faster and its peak RSS rose about 0.5 MB.
 STACK_ENTRIES = 1 << 16
 
 
@@ -111,33 +105,27 @@ def singleton_granulation(data: Dataset, seed: int = 0) -> Granulation:
 
 
 def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids by squared distance.
+    """k-means++ seeding of one restart: spread initial centroids by squared distance.
 
     d2[i] is the computed squared distance from row i to its nearest chosen
     centre, and each pick lowers it to the row's distance to the new centre
-    where that is smaller. An input of at most FULL_SEEDING_ENTRIES entries
-    (l x n) recomputes every row per pick, in preallocated buffers: on small
-    inputs a few whole-array operations cost less than finding the rows to
-    skip. Larger inputs skip rows by exact triangle pruning (Elkan, ICML
-    2003; Raff, IJCAI 2021): with c_j = nearest[i] the row's chosen centre, a
-    new centre c recomputes only the rows with
+    where that is smaller. A pick skips rows by exact triangle pruning
+    (Elkan, ICML 2003; Raff, IJCAI 2021): with c_j = nearest[i] the row's
+    chosen centre, a new centre c recomputes only the rows with
     ||c - c_j||^2 < PRUNE_FACTOR * d2 + PRUNE_FLOOR. For any other row,
     ||c - c_j|| >= 2 ||x - c_j|| gives ||x - c|| >= ||x - c_j||. The
     relative slack covers the rounding of the three computed distances,
     and PRUNE_FLOOR the absolute rounding of subnormal ones. So the row's
-    computed distance to c is never below d2, and the full update's
-    np.minimum keeps d2's bits: both updates pick the same centres. An
-    overflowed centre distance bounds nothing, so it prunes no row.
+    computed distance to c is never below d2, and a full update's
+    np.minimum (`_seed_stack`'s) keeps d2's bits: both pick the same
+    centres. An overflowed centre distance bounds nothing, so it prunes no
+    row.
     """
     l = X.shape[0]
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = rng.integers(l)
     d2 = np.sum((X - X[chosen[0]]) ** 2, axis=1)
-    full = X.size <= FULL_SEEDING_ENTRIES
-    if full:
-        diff, fresh = np.empty_like(X), np.empty_like(d2)
-    else:
-        nearest = np.zeros(l, dtype=np.int64)
+    nearest = np.zeros(l, dtype=np.int64)
     for k in range(1, m):
         total = d2.sum()
         if not np.isfinite(total):
@@ -153,11 +141,6 @@ def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
             # all remaining mass sits on already-chosen points (duplicates)
             chosen[k] = rng.integers(l)
         centre = X[chosen[k]]
-        if full:
-            # np.sum((X - centre) ** 2, axis=1), in place
-            np.square(np.subtract(X, centre, out=diff), out=diff)
-            np.minimum(d2, diff.sum(axis=1, out=fresh), out=d2)
-            continue
         cc2 = np.sum((X[chosen[:k]] - centre) ** 2, axis=1)
         cc2[cc2 == np.inf] = 0.0
         rows = np.flatnonzero(cc2[nearest] < PRUNE_FACTOR * d2 + PRUNE_FLOOR)
@@ -171,7 +154,8 @@ def _seed_centroids(X: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarr
 def _distance_rows(X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Squared distances from picked rows to every row, (picks, l).
 
-    Row p is bitwise np.sum((X - X[p]) ** 2, axis=1), the full update's.
+    Row p is bitwise np.sum((X - X[p]) ** 2, axis=1), as `_seed_centroids`
+    computes each row's distance.
     When l x l fits STACK_ENTRIES the rows come from an l x l table, each
     filled the first time its row is picked; otherwise each call takes one
     (picks, l, n) step.
@@ -203,8 +187,9 @@ def _seed_stack(
     Each restart draws as `_seed_centroids` would, in restart order: its
     first row, then m - 1 uniforms. A pick is the count of cdf <= u, which
     is searchsorted(u, side="right") on the non-decreasing cdf, and every
-    update is the full update's np.minimum, so the centres are bitwise
-    those of `count` calls of `_seed_centroids`. That holds while every
+    update recomputes every row and keeps the np.minimum, whose bits the
+    pruned update matches, so the centres are bitwise those of `count`
+    calls of `_seed_centroids`. That holds while every
     total is finite and positive; at any other total (duplicate rows,
     underflowing or overflowing distances) `_seed_centroids` would draw an
     integer or raise, so this returns None and the caller seeds per restart.
@@ -232,18 +217,19 @@ def _seed_stack(
 def _seed_stacks(X: np.ndarray, m: int, rng: np.random.Generator, restarts: int, stack: int):
     """The seeds of every restart in run order, as (b, m, n) stacks.
 
-    The first restart is seeded alone; the others in stacks of at most
-    `stack`. A stack of one, or a stack whose stacked seeding returns None,
-    is seeded by `_seed_centroids` one restart at a time after the
-    generator state is restored, each restart a stack of its own. Lazy, so
-    a caller that stops early seeds no further restart.
+    With `stack` >= 1 every restart is seeded by `_seed_stack` in stacks
+    of at most `stack`, a last short stack or a stack of one included. A
+    stack whose stacked seeding returns None is seeded by `_seed_centroids`
+    one restart at a time after the generator state is restored. With
+    `stack` = 0 every restart is seeded by `_seed_centroids`. A restart
+    seeded alone is a stack of its own. Lazy, so a caller that stops early
+    seeds no further restart.
     """
-    yield _seed_centroids(X, m, rng)[None]
-    distance_rows = None
-    for start in range(1, restarts, stack):
-        count = min(stack, restarts - start)
-        if count > 1:
-            distance_rows = distance_rows or _distance_rows(X)
+    distance_rows = _distance_rows(X) if stack else None
+    size = max(stack, 1)
+    for start in range(0, restarts, size):
+        count = min(size, restarts - start)
+        if stack:
             state = rng.bit_generator.state
             seeds = _seed_stack(X, m, rng, count, distance_rows)
             if seeds is not None:
@@ -368,20 +354,20 @@ def kmeans_granulate(
     Runs up to `restarts` independently seeded Lloyd passes and keeps the
     one with the lowest clustering error (ties to the earliest run). A run
     with zero error cannot be beaten, so the restarts stop there; with
-    distinct rows and m = l that is normally the first run. The first
-    restart runs alone, so such a unit costs one restart. The others run in
-    stacks of max(1, STACK_ENTRIES // (l * max(m, n))) restarts, seeded
-    and iterated together; each keeps the seeds, iterations and result it
-    would have alone, and the stack after a zero-error run is never seeded.
-    The k-means++ seeding of a single restart prunes rows by the triangle
-    inequality but picks exactly the centres a full update would. Each pass
-    stops when the assignments repeat, when no centroid moves by TOL or
-    more, or after MAX_ITERS iterations. The rows' 2X, their norms, their
-    C-contiguous transpose (for the centroid sums) and the one l x m
-    product buffer are made once here and shared by every pass of every
-    restart. When an `error_trace` list is supplied (debug aid, meaningful
-    with restarts=1) the restarts run one at a time and the per-step
-    clustering errors of each run made are appended to it in order.
+    distinct rows and m = l that is normally the first run, and no later
+    stack is seeded. The one size rule is
+    B = STACK_ENTRIES // (l * max(m, n)): with B >= 1 every restart runs in
+    stacks of at most B, seeded and iterated together, and with B = 0 each
+    runs alone, its k-means++ seeding pruned by the triangle inequality.
+    Either way each restart keeps the seeds, iterations and result it would
+    have alone. Each pass stops when the assignments repeat, when no
+    centroid moves by TOL or more, or after MAX_ITERS iterations. The rows'
+    2X, their norms, their C-contiguous transpose (for the centroid sums)
+    and the one l x m product buffer are made once here and shared by every
+    pass of every restart. When an `error_trace` list is supplied (debug
+    aid, meaningful with restarts=1) B is capped at 1, so the restarts run
+    one at a time on the path the rule picks, and the per-step clustering
+    errors of each run made are appended to it in order.
     """
     if m < 1:
         raise DataError("m must be >= 1")
@@ -393,7 +379,9 @@ def kmeans_granulate(
     X = data.features
     l, n = X.shape
     rng = make_rng(seed)
-    stack = 1 if error_trace is not None else max(1, STACK_ENTRIES // (l * max(m, n)))
+    stack = STACK_ENTRIES // (l * max(m, n))
+    if error_trace is not None:
+        stack = min(stack, 1)
     columns = np.ascontiguousarray(X.T)  # one contiguous row per feature
     doubled, norms = 2.0 * X, row_norms(X)
     products = np.empty((l, m))

@@ -12,7 +12,9 @@ which fixed-order Gauss-Legendre quadrature handles deterministically.
 
 Squared distances p.p + c.c - 2 p.c are formed in one place and serve
 both the rbf Gram and the nearest-centre pass of k-means: the products
-come from one matmul, the rest runs in cache-sized row blocks.
+come from one matmul. For the Gram and a single centre set (a k-means
+restart run alone) the rest runs in cache-sized row blocks; a stack of
+centre sets takes it in one (sets, rows, centres) array.
 """
 
 import math

@@ -185,6 +185,29 @@ class TestExactFastKmeans:
         assert ten.centroids.tobytes() == one.centroids.tobytes()
         assert ten.iterations_run == one.iterations_run
 
+
+@pytest.mark.parametrize("entries", [0, 2**62], ids=["one-restart-per-stack", "one-stack"])
+class TestEachStackSize(TestExactFastKmeans):
+    """The checks above with every restart run alone, its seeding pruned (a
+    stack limit of 0), or all of them in one stack, seeded by the full
+    update (no limit)."""
+
+    @pytest.fixture(autouse=True)
+    def stack_limit(self, monkeypatch, entries):
+        monkeypatch.setattr(granulation, "STACK_ENTRIES", entries)
+
+
+@pytest.mark.parametrize(
+    "entries", [granulation.STACK_ENTRIES, 0], ids=["default", "one-restart-per-stack"]
+)
+class TestKmeansPeakMemory:
+    """A 4000-row unit at m = 250 runs each restart alone. Without a stack
+    limit it would run in one stack and fill a 4000 x 4000 distance table."""
+
+    @pytest.fixture(autouse=True)
+    def stack_limit(self, monkeypatch, entries):
+        monkeypatch.setattr(granulation, "STACK_ENTRIES", entries)
+
     def test_distance_buffers_are_reused(self):
         l, m = 4000, 250
         data = generate_ndc(l, 8, 10, seed=3)
@@ -200,26 +223,6 @@ class TestExactFastKmeans:
         peak = traced_peak(kmeans_granulate, data, m, 3, 1)
         # the products fill one l x m array; the distances live in row blocks
         assert peak < 1.5 * one_array
-
-
-@pytest.mark.parametrize("limit", [0, 2**62], ids=["always-pruned", "always-full"])
-class TestEachSeedingUpdate(TestExactFastKmeans):
-    """The checks above with one k-means++ update forced on every input: the
-    triangle-pruned one (a size limit of 0) or the full one (no limit)."""
-
-    @pytest.fixture(autouse=True)
-    def seeding_limit(self, monkeypatch, limit):
-        monkeypatch.setattr(granulation, "FULL_SEEDING_ENTRIES", limit)
-
-
-@pytest.mark.parametrize("entries", [0, 2**62], ids=["one-restart-per-stack", "one-stack"])
-class TestEachStackSize(TestExactFastKmeans):
-    """The checks above with every restart after the first run alone (a
-    stack limit of 0) or all of them in one stack (no limit)."""
-
-    @pytest.fixture(autouse=True)
-    def stack_limit(self, monkeypatch, entries):
-        monkeypatch.setattr(granulation, "STACK_ENTRIES", entries)
 
 
 def assert_is_the_reference(X, m, seed, restarts):
@@ -277,20 +280,26 @@ class TestStackedSeedingFallback:
         assert stacked_seedings == [True]
 
 
-def test_wine_sized_fold_runs_its_restarts_in_stacks(monkeypatch):
-    # a 142 x 13 training fold at m = 89: restart 1 alone, then stacks of
-    # 65536 // (142 * 89) = 5 and the 4 left, none seeded one by one
-    X = generate_ndc(142, 13, 10, seed=5).features
-    seed_one = granulation._seed_centroids
+@pytest.fixture
+def single_seedings(monkeypatch) -> list:
+    """Record each call of `_seed_centroids`, the seeding of a restart run alone."""
     calls = []
+    seed_one = granulation._seed_centroids
 
     def counting(*args):
         calls.append(1)
         return seed_one(*args)
 
     monkeypatch.setattr(granulation, "_seed_centroids", counting)
+    return calls
+
+
+def test_wine_sized_fold_runs_its_restarts_in_stacks(single_seedings):
+    # a 142 x 13 training fold at m = 89: stacks of 65536 // (142 * 89) = 5,
+    # restarts 1-5 and 6-10, none seeded one by one
+    X = generate_ndc(142, 13, 10, seed=5).features
     assert_is_the_reference(X, 89, 5, 10)
-    assert calls == [1]
+    assert single_seedings == []
 
 
 @pytest.mark.parametrize("l", [142, 400])
@@ -308,32 +317,26 @@ def test_both_distance_row_sources_are_the_full_update(monkeypatch, l):
 
 
 @pytest.mark.parametrize("l", [142, 600, 5000])
-def test_both_seeding_updates_pick_the_same_centres(monkeypatch, l):
+def test_both_seeding_updates_pick_the_same_centres(l):
+    # the pruned update of a restart alone, and a stack of one's full update
     X = generate_ndc(l, 13, 10, seed=l).features
-    picks = []
-    for limit in (0, 2**62):
-        monkeypatch.setattr(granulation, "FULL_SEEDING_ENTRIES", limit)
-        picks.append(granulation._seed_centroids(X, l // 8, make_rng(3)).tobytes())
-    assert picks[0] == picks[1]
+    pruned = granulation._seed_centroids(X, l // 8, make_rng(3))
+    stacked = granulation._seed_stack(X, l // 8, make_rng(3), 1, granulation._distance_rows(X))
+    assert pruned.tobytes() == stacked[0].tobytes()
 
 
-def test_small_inputs_seed_with_the_full_update(monkeypatch):
-    # a wine training fold (142 x 13) is under the limit, a 2000 x 8 fold is over it
-    small, large = generate_ndc(142, 13, 10, seed=1), generate_ndc(2000, 8, 10, seed=1)
-    assert small.features.size <= granulation.FULL_SEEDING_ENTRIES < large.features.size
-    flatnonzero = np.flatnonzero
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return flatnonzero(*args, **kwargs)
-
-    # only the pruned update looks up the rows to recompute
-    monkeypatch.setattr(np, "flatnonzero", counting)
-    granulation._seed_centroids(small.features, 20, make_rng(1))
-    assert calls == []
-    granulation._seed_centroids(large.features, 20, make_rng(1))
-    assert len(calls) == 19
+def test_one_size_rule_picks_the_path(single_seedings):
+    # 2000 x 8 at m = 7: l x max(m, n) fits STACK_ENTRIES, so stacks of
+    # 65536 // 16000 = 4 seed every restart
+    stacked = generate_ndc(2000, 8, 10, seed=1).features
+    assert granulation.STACK_ENTRIES // (2000 * 8) == 4
+    assert_is_the_reference(stacked, 7, 1, 10)
+    assert single_seedings == []
+    # 1000 x 4 at m = 500: one restart does not fit, so each runs alone
+    alone = generate_ndc(1000, 4, 10, seed=1).features
+    assert granulation.STACK_ENTRIES // (1000 * 500) == 0
+    assert_is_the_reference(alone, 500, 1, 3)
+    assert single_seedings == [1, 1, 1]
 
 
 def multi_block_cases():

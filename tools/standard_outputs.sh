@@ -42,9 +42,11 @@ with open("ndc.csv", "w") as out:
         print(csv_line(*row, label), file=out)
 '
 
-# an rbf grid on 2000-row training folds: k-means++ seeding takes the
-# pruned update, and each (fold, m, delta) system, whose Gram blocks
-# cross the 1024-row boundary, is solved at both C values
+# an rbf grid on 2000-row training folds: the m = 7 units seed their
+# restarts as one stack, from a (stack, l, n) distance step per pick (an
+# l x l table would not fit), and the m = 125 units seed each restart
+# alone with the pruned update; each (fold, m, delta) system, whose Gram
+# blocks cross the 1024-row boundary, is solved at both C values
 lugsi cv --data ndc.csv --kernel rbf --seed 1 --timing zero --c-grid 1,4 --delta-grid 0.5,2 \
     --m-grid 7,125 --restarts 2 --report-out cv_rbf_ndc.json --csv-out cv_rbf_ndc.csv \
     > cv_rbf_ndc.stdout
@@ -71,8 +73,8 @@ train rbf_ndc_1250 ndc.csv --clusters 1250 --kernel rbf --restarts 2
 
 lugsi granulate --data wine.csv --clusters 5 --out granulate.csv
 lugsi granulate --data wine.csv --clusters 5 --emit-v --out granulate_v.csv
-# 89 granules of 178 rows: restarts 2-5 and 6-9 run as stacks, seeded
-# from the l x l distance table
+# 89 granules of 178 rows: restarts 1-4, 5-8 and 9-10 run as stacks,
+# seeded from the l x l distance table
 lugsi granulate --data wine.csv --clusters 89 --out granulate_89.csv
 # 300 granules of 2500 rows: every assignment pass runs over several row
 # blocks of the distances, the last one short
