@@ -186,23 +186,39 @@ class TestExactFastKmeans:
         assert ten.iterations_run == one.iterations_run
 
 
-@pytest.mark.parametrize("entries", [0, 2**62], ids=["one-restart-per-stack", "one-stack"])
+@pytest.mark.parametrize(
+    "entries, largest",
+    [(0, None), (2**62, 1), (2**62, 2), (2**62, None)],
+    ids=["one-restart-per-stack", "stacks-of-one", "stacks-of-two", "one-stack"],
+)
 class TestEachStackSize(TestExactFastKmeans):
     """The checks above with every restart run alone, its seeding pruned (a
-    stack limit of 0), or all of them in one stack, seeded by the full
-    update (no limit)."""
+    stack limit of 0), or in stacks seeded by the full update from the l x l
+    table (no limit): stacks of one, of two with a short last one, or all
+    restarts in one stack."""
 
     @pytest.fixture(autouse=True)
-    def stack_limit(self, monkeypatch, entries):
+    def stack_limit(self, monkeypatch, entries, largest):
         monkeypatch.setattr(granulation, "STACK_ENTRIES", entries)
+        if largest is not None:
+            seed_stacks = granulation._seed_stacks
+
+            def capped(X, m, rng, restarts, stack):
+                return seed_stacks(X, m, rng, restarts, min(stack, largest))
+
+            monkeypatch.setattr(granulation, "_seed_stacks", capped)
 
 
 @pytest.mark.parametrize(
-    "entries", [granulation.STACK_ENTRIES, 0], ids=["default", "one-restart-per-stack"]
+    "entries",
+    [granulation.STACK_ENTRIES, 0, 4000 * 250],
+    ids=["default", "one-restart-per-stack", "stacks-of-one"],
 )
 class TestKmeansPeakMemory:
-    """A 4000-row unit at m = 250 runs each restart alone. Without a stack
-    limit it would run in one stack and fill a 4000 x 4000 distance table."""
+    """A 4000-row unit at m = 250 runs each restart alone, or at a limit of
+    l x m in stacks of one that take the (1, l, n) distance step. Without a
+    stack limit it would run in one stack and fill a 4000 x 4000 distance
+    table."""
 
     @pytest.fixture(autouse=True)
     def stack_limit(self, monkeypatch, entries):
@@ -316,13 +332,16 @@ def test_both_distance_row_sources_are_the_full_update(monkeypatch, l):
             assert rows(row).tobytes() == full.tobytes()
 
 
+@pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("l", [142, 600, 5000])
-def test_both_seeding_updates_pick_the_same_centres(l):
-    # the pruned update of a restart alone, and a stack of one's full update
+def test_both_seeding_updates_pick_the_same_centres(l, count):
+    # the pruned update of each restart alone, and a stack's full update
     X = generate_ndc(l, 13, 10, seed=l).features
-    pruned = granulation._seed_centroids(X, l // 8, make_rng(3))
-    stacked = granulation._seed_stack(X, l // 8, make_rng(3), 1, granulation._distance_rows(X))
-    assert pruned.tobytes() == stacked[0].tobytes()
+    rng = make_rng(3)
+    pruned = [granulation._seed_centroids(X, l // 8, rng) for _ in range(count)]
+    rows = granulation._distance_rows(X)
+    stacked = granulation._seed_stack(X, l // 8, make_rng(3), count, rows)
+    assert np.stack(pruned).tobytes() == stacked.tobytes()
 
 
 def test_one_size_rule_picks_the_path(single_seedings):
@@ -337,6 +356,27 @@ def test_one_size_rule_picks_the_path(single_seedings):
     assert granulation.STACK_ENTRIES // (1000 * 500) == 0
     assert_is_the_reference(alone, 500, 1, 3)
     assert single_seedings == [1, 1, 1]
+
+
+def test_error_trace_runs_the_restarts_one_by_one(monkeypatch):
+    # the wine-sized fold above runs stacks of 5 untraced; a trace caps them at 1
+    X = generate_ndc(142, 13, 10, seed=5).features
+    counts = []
+    seed_stack = granulation._seed_stack
+
+    def recording(X, m, rng, count, distance_rows):
+        counts.append(count)
+        return seed_stack(X, m, rng, count, distance_rows)
+
+    monkeypatch.setattr(granulation, "_seed_stack", recording)
+    trace: list = []
+    g = kmeans_granulate(Dataset(X, np.arange(142) % 2), 89, 5, restarts=3, error_trace=trace)
+    assignments, centroids, _, error, iterations = reference_kmeans(X, 89, 5, 3)
+    assert counts == [1, 1, 1]
+    assert g.assignments.tobytes() == assignments.tobytes()
+    assert g.centroids.tobytes() == centroids.tobytes()
+    assert (g.clustering_error, g.iterations_run) == (error, iterations)
+    assert min(trace) == error
 
 
 def multi_block_cases():
