@@ -17,12 +17,14 @@ than distinct points would leave k-means thrashing. Granulation and invariants d
 only on (fold, m_eff, seed, restarts), so they run once per such unit and
 are shared by all of its (C, delta) points. The system a fit solves (P
 and the weights' s and t) depends on the unit and the kernel spec (delta)
-but not on C, so each unit builds it once per delta and solves it at every
-C. A configuration's reported train time on a fold is its unit's
-granulation and invariant time, plus its delta's system build, plus its
-own closed-form solve time: the time to train that configuration from
-scratch on the fold, so mean train times stay comparable across m for the
-wall-time tie-break.
+but not on C, so each unit builds it once per delta and solves it at all
+of its distinct C in one stacked call (`solver.fit_path`), each C bitwise
+as if solved alone. A configuration's reported train time on a fold is
+its unit's granulation and invariant time, plus its delta's system build,
+plus the stacked solve's time divided by the number of C it served: the
+time to train that configuration from scratch on the fold, with the
+solve's shared cost split evenly, so mean train times stay comparable
+across m for the wall-time tie-break.
 """
 
 import math
@@ -35,13 +37,14 @@ import numpy as np
 from .dataset import Dataset, ScalingParams, apply_scaling, generate_ndc, kfold_split, minmax_scale
 from .errors import DataError
 from .granulation import kmeans_granulate
-# granule_v_vectors is not called here: perfbench/tracer.py wraps it by this module's name
+# granule_v_vectors and fit_kernel_lugsi are not called here: perfbench/tracer.py wraps them
+# by this module's name
 from .invariants import (
     MeasureSpec, granule_v_vectors, normalized_granule_invariants, v_matrix,
 )
 from .kernels import KernelSpec
 from .solver import (
-    GranulatedSystem, check_kernel_fit_size, fit_kernel_lugsi, fit_linear_lugsi, granulated_system,
+    check_kernel_fit_size, fit_kernel_lugsi, fit_linear_lugsi, fit_path, granulated_system,
     predict_labels,
 )
 
@@ -179,12 +182,12 @@ def accuracy(predicted, actual) -> float:
 
 @dataclass(frozen=True)
 class _PreparedFold:
-    """A scaled training fold ready to solve: the system of one kernel spec,
-    the fold's scaling, and `seconds`, the wall time of its k-means, its
-    invariants and the system's build."""
+    """A scaled training fold solved for one kernel spec: `fits` maps each
+    solved gamma to its (model, FitDiagnostics), and `seconds` is one
+    config's train time, the wall time of the fold's k-means, its invariants
+    and the system's build, plus the stacked solve's over its gamma count."""
 
-    system: GranulatedSystem
-    params: ScalingParams
+    fits: dict
     seconds: float
 
 
@@ -213,13 +216,19 @@ def _granulate_fold(scaled: Dataset, m_eff: int, seed: int, restarts: int, measu
     return granulation, invariants, granulated - started, time.perf_counter() - granulated
 
 
-def _prepare_fold(scaled: Dataset, params: ScalingParams, granulated, kernel) -> _PreparedFold:
-    """The fold of a `_granulate_fold` result with its system for `kernel` built."""
+def _prepare_fold(
+    scaled: Dataset, params: ScalingParams, granulated, kernel, gammas
+) -> _PreparedFold:
+    """The fold of a `_granulate_fold` result with its system for `kernel`
+    built and solved at each of the distinct `gammas` in one call."""
     granulation, invariants, kmeans_seconds, invariant_seconds = granulated
     started = time.perf_counter()
     system = granulated_system(scaled, granulation, invariants, kernel)
-    seconds = kmeans_seconds + invariant_seconds + time.perf_counter() - started
-    return _PreparedFold(system, params, seconds)
+    built = time.perf_counter()
+    fits = fit_path(system, gammas, params)
+    shared = (time.perf_counter() - built) / len(gammas)
+    seconds = kmeans_seconds + invariant_seconds + built - started + shared
+    return _PreparedFold(dict(zip(gammas, fits)), seconds)
 
 
 def _check_budget(configs, l: int) -> None:
@@ -241,9 +250,10 @@ def train_fold_pipeline(
     training rows as reference. From raw rows it granulates at m_eff =
     min(config.m, distinct scaled rows), and the clock covers k-means,
     invariants, the system build and the solve. The evaluation driver
-    passes a prepared fold instead: a fold's scaling, its seconds and the
-    system of this config's kernel, which holds the rows, granulation and
-    kernel; then only the solve runs, and its time is added to the fold's.
+    passes a prepared fold instead, whose system for this config's kernel
+    is already solved at this config's gamma among others; then this picks
+    that fit, and train_seconds is the fold's k-means, invariants and
+    system build plus the stacked solve's time over its number of gammas.
     """
     fold = train
     if not isinstance(fold, _PreparedFold):
@@ -251,18 +261,9 @@ def train_fold_pipeline(
         scaled, params = minmax_scale(train)
         m_eff = min(config.m, distinct_rows(scaled))
         granulated = _granulate_fold(scaled, m_eff, seed, restarts, measure)
-        fold = _prepare_fold(scaled, params, granulated, config.kernel_spec())
-    system = fold.system
-    started = time.perf_counter()
-    if system.kernel is None:
-        model, diagnostics = fit_linear_lugsi(
-            system.data, system.granulation, system, config.gamma, fold.params
-        )
-    else:
-        model, diagnostics = fit_kernel_lugsi(
-            system.data, system.granulation, system, system.kernel, config.gamma, fold.params
-        )
-    return model, diagnostics, fold.seconds + time.perf_counter() - started
+        fold = _prepare_fold(scaled, params, granulated, config.kernel_spec(), [config.gamma])
+    model, diagnostics = fold.fits[config.gamma]
+    return model, diagnostics, fold.seconds
 
 
 def _units(data: Dataset, plan, configs, seed: int, restarts: int):
@@ -286,8 +287,8 @@ def _units(data: Dataset, plan, configs, seed: int, restarts: int):
 
 def _evaluate_unit(unit) -> list:
     """Granulate one (fold, m_eff) once, then for each kernel spec prepare
-    the fold with its system and fit and score each of its configs; returns
-    (config index, FoldResult) pairs."""
+    the fold with its system solved at the group's distinct gammas, and
+    score each of its configs; returns (config index, FoldResult) pairs."""
     fold, scaled, params, scaled_test, test_idx, m_eff, members, seed, restarts = unit
     granulated = _granulate_fold(scaled, m_eff, seed, restarts, "uniform")
     by_kernel: dict = {}
@@ -295,7 +296,8 @@ def _evaluate_unit(unit) -> list:
         by_kernel.setdefault(config.kernel_spec(), []).append((index, config))
     out = []
     for kernel, group in by_kernel.items():
-        prepared = _prepare_fold(scaled, params, granulated, kernel)
+        gammas = list(dict.fromkeys(config.gamma for _, config in group))
+        prepared = _prepare_fold(scaled, params, granulated, kernel, gammas)
         for index, config in group:
             # the one fold-fit path, so a traced grid still records one fold fit per (config, fold)
             model, _, seconds = train_fold_pipeline(prepared, config, seed, restarts)
@@ -313,9 +315,10 @@ def _evaluate(
 
     Work runs fold -> m_eff -> kernel system -> configs, so k-means and
     the invariants run once per (fold, m_eff) whatever the number of
-    (C, delta) points, each (fold, m_eff, delta) system is built once for
-    all of its C values, and only one granulation and one system are live
-    at a time. A kernel config whose fit would exceed the array budget on
+    (C, delta) points, each (fold, m_eff, delta) system is built once and
+    solved at all of its C values in one stacked call, and only one
+    granulation and one system, with its solved models, are live at a
+    time. A kernel config whose fit would exceed the array budget on
     some training fold is refused before any fold work. With threads > 1
     the units run in worker processes; results are assembled in `configs`
     order.

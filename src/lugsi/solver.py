@@ -21,11 +21,15 @@ then block substitution), so the package loads a single BLAS.
 
 All four modes solve these normal equations in one core, `_closed_form`,
 which takes a `GranulatedSystem` (P as the design, s as the bias column,
-t as the targets) and an optional weight matrix W (None for the
-identity): sum_k v_k v_k^T weighting of the full design is the identity
-weighting of P. `granulated_system` builds it apart from gamma through
-`_design_rows`, the one design builder, so a cv grid builds each system
-once for all its C. `fit_lssvm` and `fit_vsvm` build the system of
+t as the targets), a sequence of gamma and an optional weight matrix W
+(None for the identity): sum_k v_k v_k^T weighting of the full design is
+the identity weighting of P. It forms the gamma-free products once and
+factors the shifted systems of all its gammas as stacks in one pass, each
+gamma bitwise as if solved alone; a single fit is its one-gamma case.
+`granulated_system` builds the system apart from gamma through
+`_design_rows`, the one design builder, and `fit_path` solves it at a
+set of gammas, so a cv grid builds and factors each system once for all
+its C. `fit_lssvm` and `fit_vsvm` build the system of
 `singleton_granulation` (one granule per row, in row order) with unit
 predicates, so P is the design itself, s = 1 and t = Y. `fit_lssvm`
 solves it with m = l, an effective regularizer gamma * l, and `fit_vsvm`,
@@ -46,7 +50,7 @@ import numpy as np
 
 from .dataset import Dataset, ScalingParams
 from .errors import DataError, LugsiError, NumericError, check_array_entries
-from .granulation import Granulation, singleton_granulation
+from .granulation import STACK_ENTRIES, Granulation, singleton_granulation
 from .invariants import GranuleWeights, unit_granule_invariants
 from .kernels import KernelSpec, gram_block
 from .serialize import load_document, write_document
@@ -142,14 +146,19 @@ _KINDS = {
 }
 
 
-def _factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Cholesky solve with one refinement step; returns (z, condition hint).
+def _factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Cholesky solve with one refinement step; returns (z, condition hints).
 
-    L from `np.linalg.cholesky` is applied by block substitution: only its
-    diagonal blocks of `_SOLVE_BLOCK` rows are inverted, the full ones in one
-    batched call, so a solve costs O(n^2).
-    The hint is the squared ratio of the extreme diagonal entries of L, a
-    cheap lower bound on the 2-norm condition number.
+    M is one n x n system or a stack of them (..., n, n); rhs is n x c,
+    shared by every system, or one n x c per system. One `np.linalg.cholesky`
+    factors the stack, and L is applied by block substitution: only its
+    diagonal blocks of `_SOLVE_BLOCK` rows are inverted, the full ones of
+    every system in one batched call, so a solve costs O(n^2) per system.
+    LAPACK and BLAS take each system as they would alone, so each member's
+    z is bitwise its solve alone, and a stack is as cheap as one system in
+    numpy calls. The hints, one per system, are the squared ratio of the
+    extreme diagonal entries of L, a cheap lower bound on the 2-norm
+    condition number.
     """
     M = np.asarray(M, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -159,29 +168,35 @@ def _factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise NumericError("Cholesky failed: a leading minor is not positive definite") from None
-    blocks = [slice(lo, min(lo + _SOLVE_BLOCK, len(L))) for lo in range(0, len(L), _SOLVE_BLOCK)]
+    n, stack = M.shape[-1], M.shape[:-2]
+    shape = M.shape[:-1] + rhs.shape[-1:]
+    blocks = [slice(lo, min(lo + _SOLVE_BLOCK, n)) for lo in range(0, n, _SOLVE_BLOCK)]
     # one batched inverse of the full diagonal blocks, then one of the shorter tail
-    full = len(L) // _SOLVE_BLOCK
+    full = n // _SOLVE_BLOCK
     edge = full * _SOLVE_BLOCK
     inverses = []
     if full:
-        diagonal = L[:edge, :edge].reshape(full, _SOLVE_BLOCK, full, _SOLVE_BLOCK)
-        inverses.extend(np.linalg.inv(diagonal[np.arange(full), :, np.arange(full)]))
-    if edge < len(L):
-        inverses.append(np.linalg.inv(L[edge:, edge:]))
+        tiles = L[..., :edge, :edge].reshape(*stack, full, _SOLVE_BLOCK, full, _SOLVE_BLOCK)
+        diagonal = np.moveaxis(np.diagonal(tiles, axis1=-4, axis2=-2), -1, -3)
+        inverses.extend(np.moveaxis(np.linalg.inv(diagonal), -3, 0))
+    if edge < n:
+        inverses.append(np.linalg.inv(L[..., edge:, edge:]))
 
     def solve(r: np.ndarray) -> np.ndarray:
-        y, z = np.empty_like(r), np.empty_like(r)
+        y, z = np.empty(shape), np.empty(shape)
         for rows, inv in zip(blocks, inverses):  # L y = r, top block first
-            y[rows] = inv @ (r[rows] - L[rows, :rows.start] @ y[:rows.start])
+            known = L[..., rows, :rows.start] @ y[..., :rows.start, :]
+            y[..., rows, :] = inv @ (r[..., rows, :] - known)
         for rows, inv in zip(blocks[::-1], inverses[::-1]):  # L^T z = y, bottom block first
-            z[rows] = inv.T @ (y[rows] - L[rows.stop:, rows].T @ z[rows.stop:])
+            known = L[..., rows.stop:, rows].swapaxes(-1, -2) @ z[..., rows.stop:, :]
+            z[..., rows, :] = inv.swapaxes(-1, -2) @ (y[..., rows, :] - known)
         return z
 
     z = solve(rhs)
     z += solve(rhs - M @ z)
-    diag = np.diag(L)
-    return z, float((diag.max() / diag.min()) ** 2)
+    # per system, as a scalar expression: the array form can differ in the last bit
+    diagonals = L.diagonal(0, -2, -1).reshape(-1, n)
+    return z, [float((diag.max() / diag.min()) ** 2) for diag in diagonals]
 
 
 def solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -192,13 +207,17 @@ def solve_spd(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     single iterative-refinement step to push the residual down to
     machine level.
     """
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.ndim == 1:
+        return _factor_solve(M, rhs[:, None])[0][:, 0]
     return _factor_solve(M, rhs)[0]
 
 
 def _closed_form(
-    system, gamma, m, scaling, W=None
-) -> tuple[LinearModel | KernelModel, FitDiagnostics]:
-    """The one solve, bias recovery, model and diagnostics of every fit mode.
+    system, gammas, m, scaling, W=None
+) -> list[tuple[LinearModel | KernelModel, FitDiagnostics]]:
+    """The one solve, bias recovery, model and diagnostics of every fit mode,
+    at each gamma of `gammas`; a single fit is the one-gamma case.
 
     Takes a `GranulatedSystem` and reads its P as the design D, its s as the
     bias column `one` and its t as the targets y. Minimizes
@@ -207,17 +226,28 @@ def _closed_form(
     half-solutions [p_b, p_c] solve M [p_b, p_c] = [D^T W y, D^T W one]
     with M = D^T W D + gamma*m*I. With W = None and fewer rows than columns
     in D, the smaller system D D^T + gamma*m*I is factored instead and
-    [p_b, p_c] = D^T z. The bias comes from its stationarity equation, and
-    a near-zero bias denominator falls back to b = 0 with the diagnostics
-    flag set. Then p = p_b - b*p_c.
+    [p_b, p_c] = D^T z. The gamma-free products (the Gram, the right-hand
+    sides and the bias sums) are formed once; the shifted systems go to
+    `_factor_solve` in stacks of at most `STACK_ENTRIES` entries, the bound
+    of a k-means stack (all 17 of a default grid's C while n <= 62; one at
+    a time from n = 256, where the factorization's flops dominate). Per
+    gamma, the bias comes from its stationarity equation, and a near-zero
+    bias denominator falls back to b = 0 with the diagnostics flag set.
+    Then p = p_b - b*p_c. Each gamma's model and diagnostics are bitwise
+    those of solving at that gamma alone. Returns one (model, diagnostics)
+    per gamma, in order.
     """
     D, one, y = system.P, system.s, system.t
     data, kernel, seed = system.data, system.kernel, system.granulation.seed
-    gamma_eff = gamma * m
-    if not gamma_eff > 0.0:
-        raise DataError("gamma must be positive")
-    if not gamma_eff < math.inf:
-        raise DataError(f"gamma*m overflows: the regularization shift {gamma_eff!r} is not finite")
+    gammas = list(gammas)
+    shifts = [gamma * m for gamma in gammas]
+    for gamma_eff in shifts:
+        if not gamma_eff > 0.0:
+            raise DataError("gamma must be positive")
+        if not gamma_eff < math.inf:
+            raise DataError(
+                f"gamma*m overflows: the regularization shift {gamma_eff!r} is not finite"
+            )
     if W is None:
         DWy, DW1, oWy, oW1, oWD = D.T @ y, D.T @ one, one @ y, one @ one, one @ D
     else:
@@ -225,37 +255,48 @@ def _closed_form(
         DWy, DW1, oWy, oW1, oWD = D.T @ (W @ y), D.T @ (W @ one), oW @ y, oW @ one, oW @ D
     dual = W is None and D.shape[0] < D.shape[1]
     if dual:
-        M, rhs = D @ D.T, np.column_stack([y, one])
+        gram, rhs = D @ D.T, np.column_stack([y, one])
     else:
-        M = D.T @ D if W is None else D.T @ (W @ D)
+        gram = D.T @ D if W is None else D.T @ (W @ D)
         rhs = np.column_stack([DWy, DW1])
-    M[np.diag_indices(M.shape[0])] += gamma_eff
-    z, cond = _factor_solve(M, rhs)
-    half = D.T @ z if dual else z
-    p_b, p_c = half[:, 0], half[:, 1]
-    numerator = float(oWy - oWD @ p_b)
-    denominator = float(oW1 - oWD @ p_c)
-    fallback = abs(denominator) < _B_DEGENERACY_TOL * (1.0 + abs(numerator))
-    bias = 0.0 if fallback else numerator / denominator
-    params = p_b - bias * p_c
-    # half the gradient of the objective in (p, b), from the normal equations
-    system_product = D.T @ (D @ params) + gamma_eff * params if dual else M @ params
-    grad = np.append(system_product + bias * DW1 - DWy, oWD @ params + bias * oW1 - oWy)
-    resid = D @ params + bias * one - y
-    residual_energy = resid @ resid if W is None else resid @ (W @ resid)
+    n = gram.shape[0]
+    per_stack = max(1, STACK_ENTRIES // (n * n))
     if scaling is None:
         scaling = ScalingParams(np.zeros(data.n), np.ones(data.n))
     cls, fields = _KINDS["linear" if kernel is None else "kernel"]
-    coefficients = dict(zip(fields, (params, bias, p_b, p_c, data.features)))
     spec = {} if kernel is None else {"kernel": kernel}
-    model = cls(**coefficients, **spec, gamma=gamma, m=m, seed=seed, scaling=scaling)
-    diagnostics = FitDiagnostics(
-        objective_value=float(residual_energy + gamma_eff * (params @ params)),
-        gradient_norm=2.0 * float(np.linalg.norm(grad)),
-        system_condition_hint=cond,
-        bias_fallback=fallback,
-    )
-    return model, diagnostics
+    fits = []
+    for lo in range(0, len(shifts), per_stack):
+        stack = shifts[lo:lo + per_stack]
+        # the very last system shifts the Gram in place: a one-gamma fit makes no copy
+        M = gram[None] if len(shifts) - lo == 1 else np.repeat(gram[None], len(stack), axis=0)
+        M.reshape(len(stack), n * n)[:, ::n + 1] += np.array(stack)[:, None]  # the diagonals
+        # a lone system goes in as n x n
+        z, hints = _factor_solve(M[0] if len(stack) == 1 else M, rhs)
+        z = z.reshape(M.shape[:-1] + rhs.shape[-1:])
+        for gamma, gamma_eff, M_k, z_k, cond in zip(gammas[lo:], stack, M, z, hints):
+            half = D.T @ z_k if dual else z_k
+            p_b, p_c = half[:, 0], half[:, 1]
+            numerator = float(oWy - oWD @ p_b)
+            denominator = float(oW1 - oWD @ p_c)
+            fallback = abs(denominator) < _B_DEGENERACY_TOL * (1.0 + abs(numerator))
+            bias = 0.0 if fallback else numerator / denominator
+            params = p_b - bias * p_c
+            # half the gradient of the objective in (p, b), from the normal equations
+            system_product = D.T @ (D @ params) + gamma_eff * params if dual else M_k @ params
+            grad = np.append(system_product + bias * DW1 - DWy, oWD @ params + bias * oW1 - oWy)
+            resid = D @ params + bias * one - y
+            residual_energy = resid @ resid if W is None else resid @ (W @ resid)
+            coefficients = dict(zip(fields, (params, bias, p_b, p_c, data.features)))
+            model = cls(**coefficients, **spec, gamma=gamma, m=m, seed=seed, scaling=scaling)
+            diagnostics = FitDiagnostics(
+                objective_value=float(residual_energy + gamma_eff * (params @ params)),
+                gradient_norm=2.0 * float(np.linalg.norm(grad)),
+                system_condition_hint=cond,
+                bias_fallback=fallback,
+            )
+            fits.append((model, diagnostics))
+    return fits
 
 
 def _row_blocks(rows: int) -> list[slice]:
@@ -324,8 +365,9 @@ class GranulatedSystem:
     design_k^T v_k, and the weights' sums s and targets t, with the training
     rows, granulation and kernel (None for linear) they were built from.
 
-    `granulated_system` builds it once; the fits solve it at any gamma, so a
-    cv grid builds each (fold, m, delta) system once for all of its C values.
+    `granulated_system` builds it once; the fits solve it at any gamma, and
+    `fit_path` at many in one stacked solve, so a cv grid builds and
+    factors each (fold, m, delta) system once for all of its C values.
     """
 
     data: Dataset
@@ -350,6 +392,19 @@ def granulated_system(
     return GranulatedSystem(data, granulation, kernel, P, weights.s, weights.t)
 
 
+def fit_path(
+    system: GranulatedSystem, gammas, scaling: ScalingParams | None
+) -> list[tuple[LinearModel | KernelModel, FitDiagnostics]]:
+    """The regularization path of a built system: one (model, FitDiagnostics)
+    per gamma of `gammas`, in order, factored in stacks (`_closed_form`).
+
+    Each gamma's fit is bitwise `fit_linear_lugsi` or `fit_kernel_lugsi` on
+    the same system at that gamma alone; the cv grid solves each
+    (fold, m, delta) system at all of its C values in one call.
+    """
+    return _closed_form(system, gammas, system.granulation.m, scaling)
+
+
 def _granulated_fit(
     data: Dataset,
     granulation: Granulation,
@@ -366,7 +421,7 @@ def _granulated_fit(
     elif not (system.data is data and system.granulation is granulation
               and system.kernel == kernel):
         raise DataError("the system was built from other rows, granules or kernel")
-    return _closed_form(system, gamma, granulation.m, scaling)
+    return fit_path(system, [gamma], scaling)[0]
 
 
 def fit_linear_lugsi(
@@ -458,7 +513,8 @@ def fit_vsvm(
 
     granulation = singleton_granulation(data, seed)
     weights = unit_granule_invariants(data, granulation)
-    return _closed_form(granulated_system(data, granulation, weights, kernel), gamma, 1, scaling, V)
+    system = granulated_system(data, granulation, weights, kernel)
+    return _closed_form(system, [gamma], 1, scaling, V)[0]
 
 
 def decision_values(model: LinearModel | KernelModel, points: np.ndarray) -> np.ndarray:

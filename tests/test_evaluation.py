@@ -272,6 +272,63 @@ class TestGridSearch:
                     assert fr.m_effective == min(result.config.m, 12)
                     assert fr.test_indices.tobytes() == plan.test_indices(fr.fold).tobytes()
 
+    @pytest.mark.parametrize("kernel_kind", ["linear", "rbf"])
+    def test_unsorted_repeated_c_map_to_their_own_fits(self, rng, monkeypatch, kernel_kind):
+        # each (fold, m, delta) system is solved once at its distinct gammas,
+        # and each config is scored with the model of its own gamma
+        fold_fit = lugsi.evaluation.train_fold_pipeline
+        picked = []
+
+        def checking(fold, config, *args):
+            model, diagnostics, seconds = fold_fit(fold, config, *args)
+            picked.append((config.gamma, model.gamma))
+            return model, diagnostics, seconds
+
+        monkeypatch.setattr(lugsi.evaluation, "train_fold_pipeline", checking)
+        data = random_binary_dataset(rng, 24, 3)
+
+        def grid(c_values):
+            return GridSpec(c_values, delta_values=(0.5, 2.0), m_values=(2, 5), folds=3, seed=4)
+
+        repeated = grid_search(data, grid((4.0, 0.5, 4.0)), kernel_kind, restarts=2).results
+        assert len(picked) == len(repeated) * 3
+        assert all(want == got for want, got in picked)
+        plain = grid_search(data, grid((0.5, 4.0)), kernel_kind, restarts=2).results
+        per_c = len(plain) // 2
+        assert len(repeated) == 3 * per_c
+        by_c = {0.5: plain[:per_c], 4.0: plain[per_c:]}
+        for lo, c in zip(range(0, len(repeated), per_c), (4.0, 0.5, 4.0)):
+            for ours, theirs in zip(repeated[lo:lo + per_c], by_c[c]):
+                assert ours.config == theirs.config
+                for fr, want in zip(ours.fold_results, theirs.fold_results):
+                    assert (fr.fold, fr.m_effective) == (want.fold, want.m_effective)
+                    assert bits(fr.accuracy) == bits(want.accuracy)
+                    assert fr.predictions.tobytes() == want.predictions.tobytes()
+                    assert fr.test_indices.tobytes() == want.test_indices.tobytes()
+        # both C = 4 configs read one fit, so their train times agree too
+        for first, second in zip(repeated[:per_c], repeated[2 * per_c:]):
+            assert [fr.train_seconds for fr in first.fold_results] == [
+                fr.train_seconds for fr in second.fold_results
+            ]
+
+    def test_each_system_is_solved_in_one_call(self, rng, monkeypatch):
+        calls = []
+        fit_path = lugsi.evaluation.fit_path
+
+        def counting(system, gammas, scaling):
+            calls.append((system.granulation.m, system.kernel.delta, tuple(gammas)))
+            return fit_path(system, gammas, scaling)
+
+        monkeypatch.setattr(lugsi.evaluation, "fit_path", counting)
+        data = random_binary_dataset(rng, 24, 2)
+        grid = GridSpec(
+            c_values=(8.0, 0.5, 2.0, 0.5), delta_values=(0.5, 1.0), m_values=(2, 5), folds=3,
+            seed=1,
+        )
+        assert len(grid_search(data, grid, "rbf", restarts=2).results) == 16
+        gammas = (1 / 8.0, 2.0, 0.5)
+        assert calls == [(2, 0.5, gammas), (2, 1.0, gammas), (5, 0.5, gammas), (5, 1.0, gammas)] * 3
+
     def test_granulates_once_per_fold_and_cluster_count(self, rng, monkeypatch):
         calls = count_granulations(monkeypatch)
         data = random_binary_dataset(rng, 24, 2)

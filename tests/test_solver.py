@@ -29,6 +29,7 @@ from lugsi import (
     KernelSpec,
     MeasureSpec,
     NumericError,
+    ScalingParams,
     decision_value,
     decision_values,
     fit_kernel_lugsi,
@@ -535,6 +536,104 @@ def test_batched_block_inverse_solves_like_the_per_block_inverse(monkeypatch, m)
     monkeypatch.setattr(np.linalg, "inv", per_block)
     one_by_one, _ = solver._factor_solve(M, rhs)
     assert batched.tobytes() == one_by_one.tobytes()
+
+
+class TestStackedSolve:
+    """`fit_path` solves a system at several gammas in one stacked pass, and
+    each gamma's fit is bitwise the fit at that gamma alone."""
+
+    GAMMAS = (4.0, 1 / 64, 0.5, 4.0, 256.0, 2.0)  # unsorted, with a repeat
+
+    @staticmethod
+    def system(kind, side, d):
+        """A system whose factored side is d x d: m = d granules of random
+        rows; the primal side has d features (linear) or m = l = d rows."""
+        gen = np.random.default_rng(d + 7 * len(side) + len(kind))
+        kernel = None if kind == "linear" else KernelSpec(kind, delta=0.7, cro_gamma=0.3)
+        if kernel is None:
+            l, n = 2 * d + 5, d + 7 if side == "dual" else d
+        else:
+            l, n = d + 20 if side == "dual" else d, 4
+        data = random_binary_dataset(gen, l, n)
+        assignments = np.concatenate([np.arange(d), gen.integers(0, d, l - d)])
+        gen.shuffle(assignments)
+        g = Granulation(assignments, gen.random((d, n)), 0.0, 1, 5)
+        weights = normalized_granule_invariants(data, g, MeasureSpec.uniform())
+        return solver.granulated_system(data, g, weights, kernel)
+
+    @staticmethod
+    def alone(system, gamma, scaling):
+        if system.kernel is None:
+            return fit_linear_lugsi(system.data, system.granulation, system, gamma, scaling)
+        return fit_kernel_lugsi(
+            system.data, system.granulation, system, system.kernel, gamma, scaling
+        )
+
+    @pytest.mark.parametrize("d", [63, 64, 65, 129])
+    @pytest.mark.parametrize("side", ["primal", "dual"])
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "cro"])
+    def test_each_gamma_is_its_fit_alone(self, monkeypatch, kind, side, d):
+        system = self.system(kind, side, d)
+        factored = system.P.shape[1] if side == "primal" else system.P.shape[0]
+        assert factored == d and (system.P.shape[0] < system.P.shape[1]) == (side == "dual")
+        scaling = ScalingParams(np.zeros(system.data.n), np.ones(system.data.n))
+        want = [self.alone(system, gamma, scaling) for gamma in self.GAMMAS]
+        # the stack bound splits 129 x 129 systems into stacks of 3; no bound
+        # and a stack of one system each give the same bytes
+        for entries in (solver.STACK_ENTRIES, 1 << 62, 0):
+            monkeypatch.setattr(solver, "STACK_ENTRIES", entries)
+            got = solver.fit_path(system, self.GAMMAS, scaling)
+            assert len(got) == len(want)
+            for (model, diag), (want_model, want_diag), gamma in zip(got, want, self.GAMMAS):
+                assert model.gamma == gamma
+                assert dump_document(model_document(model)) == dump_document(
+                    model_document(want_model)
+                )
+                assert diag == want_diag
+
+    def test_stacks_hold_at_most_stack_entries(self, monkeypatch):
+        stacks = []
+        factor_solve = solver._factor_solve
+
+        def recording(M, rhs):
+            stacks.append(M.shape)
+            return factor_solve(M, rhs)
+
+        monkeypatch.setattr(solver, "_factor_solve", recording)
+        system = self.system("rbf", "dual", 129)  # 2^16 // 129^2 = 3 per stack
+        solver.fit_path(system, self.GAMMAS, None)
+        assert stacks == [(3, 129, 129), (3, 129, 129)]
+        stacks.clear()
+        solver.fit_path(self.system("linear", "primal", 63), self.GAMMAS, None)
+        assert stacks == [(6, 63, 63)]
+        stacks.clear()
+        solver.fit_path(self.system("linear", "primal", 63), self.GAMMAS[:1], None)
+        assert stacks == [(63, 63)]
+
+    @staticmethod
+    def failure(M, rhs) -> str:
+        with pytest.raises(NumericError) as caught:
+            solver._factor_solve(M, rhs)
+        return str(caught.value)
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "indefinite"])
+    @pytest.mark.parametrize("member", [0, 2])
+    def test_a_failing_member_fails_the_stack_as_alone(self, fault, member):
+        gen = np.random.default_rng(41)
+        n = 100
+        B = gen.standard_normal((3, n, n))
+        M = B @ np.swapaxes(B, 1, 2) + n * np.eye(n)
+        rhs = gen.standard_normal((n, 2))
+        # past the first 64-row block
+        M[member, 80, 80] = {"nan": np.nan, "inf": np.inf, "indefinite": -1e6}[fault]
+        alone = self.failure(M[member], rhs)
+        assert alone == self.failure(M, rhs)
+        assert ("non-finite" if fault != "indefinite" else "leading minor") in alone
+        healthy = [k for k in range(3) if k != member]
+        z, hints = solver._factor_solve(M[healthy], rhs)
+        assert len(hints) == 2
+        for row, k in enumerate(healthy):
+            assert z[row].tobytes() == solver._factor_solve(M[k], rhs)[0].tobytes()
 
 
 class TestGranulatedSystem:

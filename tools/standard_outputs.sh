@@ -84,6 +84,10 @@ lugsi bench sizes --sizes 300,600 --timing zero --out bench_sizes.csv
 # a granule-count sweep at one C
 lugsi cv --data wine.csv --c-grid 4 --m-grid 1,3,7,89 --seed 1 --timing zero \
     --report-out cv_m_sweep.json --csv-out cv_m_sweep.csv > cv_m_sweep.stdout
+# unsorted C with a repeat: each (fold, m) system is solved at its three
+# distinct C in one stacked call, and both C = 0.5 configs get that fit
+lugsi cv --data wine.csv --c-grid 64,0.5,4,0.5 --m-grid 3,89 --seed 1 --timing zero \
+    --report-out cv_c_repeated.json --csv-out cv_c_repeated.csv > cv_c_repeated.stdout
 # the default rbf grid: 765 configurations x 5 folds
 lugsi cv --data wine.csv --kernel rbf --seed 1 --timing zero \
     --report-out cv_rbf_default.json --csv-out cv_rbf_default.csv > cv_rbf_default.stdout
