@@ -19,12 +19,11 @@ blocks. A stack's pass takes each restart's products from that same one
 matmul into that buffer, its distances into its slice of one
 (stack, l, m) array, and the argmin of the whole stack at once. Each
 restart draws, picks and iterates exactly as it would alone, on either
-path. A requested error trace runs the restarts one by one, so it stays
-per run and in order. Everything is deterministic under the seed:
-assignment ties go to the lowest centroid index, granule contributions
-are ordered by index, and clusters that empty during an update are
-repaired by stealing the point farthest from the empty cluster's current
-centroid.
+path, so the rule is the only way the restarts run. Everything is
+deterministic under the seed: assignment ties go to the lowest centroid
+index, granule contributions are ordered by index, and clusters that
+empty during an update are repaired by stealing the point farthest from
+the empty cluster's current centroid.
 """
 
 from collections.abc import Callable
@@ -288,7 +287,6 @@ def _lloyd(
     doubled: np.ndarray,
     norms: np.ndarray,
     products: np.ndarray,
-    error_trace: list | None,
 ) -> list:
     """Lloyd iterations of a stack of restarts from their (b, m, n) seeds.
 
@@ -299,7 +297,7 @@ def _lloyd(
     assignments match the stored centroids); then it leaves the stack.
     The centroid sums are one bincount per feature over all active
     restarts, restart r's clusters offset by r * m, and each sums its rows
-    in index order. `error_trace` follows restart 0.
+    in index order.
     """
     count, m, _ = seeds.shape
     l = X.shape[0]
@@ -312,8 +310,6 @@ def _lloyd(
     for step in range(1, MAX_ITERS + 2):
         fresh = _assign(X, centroids, doubled, norms, products)
         iterations[~final] = step
-        if error_trace is not None and not final[0]:
-            error_trace.append(_error(X, centroids[0], fresh[0]))
         done = final if previous is None else final | (fresh == previous).all(axis=1)
         if done.any():
             for r in np.flatnonzero(done):
@@ -336,19 +332,11 @@ def _lloyd(
         updated = (sums / sizes[:, None]).reshape(centroids.shape)
         shift = np.linalg.norm(updated - centroids, axis=2).max(axis=1)
         centroids, previous = updated, fresh
-        if error_trace is not None:
-            error_trace.append(_error(X, centroids[0], previous[0]))
         final = (shift < TOL) | (step == MAX_ITERS)
     return runs
 
 
-def kmeans_granulate(
-    data: Dataset,
-    m: int,
-    seed: int,
-    restarts: int = 10,
-    error_trace: list | None = None,
-) -> Granulation:
+def kmeans_granulate(data: Dataset, m: int, seed: int, restarts: int = 10) -> Granulation:
     """Cluster the dataset into m granules.
 
     Runs up to `restarts` independently seeded Lloyd passes and keeps the
@@ -364,10 +352,7 @@ def kmeans_granulate(
     centroid moves by TOL or more, or after MAX_ITERS iterations. The rows'
     2X, their norms, their C-contiguous transpose (for the centroid sums)
     and the one l x m product buffer are made once here and shared by every
-    pass of every restart. When an `error_trace` list is supplied (debug
-    aid, meaningful with restarts=1) B is capped at 1, so the restarts run
-    one at a time on the path the rule picks, and the per-step clustering
-    errors of each run made are appended to it in order.
+    pass of every restart.
     """
     if m < 1:
         raise DataError("m must be >= 1")
@@ -380,15 +365,13 @@ def kmeans_granulate(
     l, n = X.shape
     rng = make_rng(seed)
     stack = STACK_ENTRIES // (l * max(m, n))
-    if error_trace is not None:
-        stack = min(stack, 1)
     columns = np.ascontiguousarray(X.T)  # one contiguous row per feature
     doubled, norms = 2.0 * X, row_norms(X)
     products = np.empty((l, m))
     runs = (
         run
         for seeds in _seed_stacks(X, m, rng, restarts, stack)
-        for run in _lloyd(X, columns, seeds, doubled, norms, products, error_trace)
+        for run in _lloyd(X, columns, seeds, doubled, norms, products)
     )
     best = None
     for run in runs:

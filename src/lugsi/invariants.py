@@ -20,14 +20,10 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DataError, check_array_entries
-from .granulation import Granulation
+from .granulation import STACK_ENTRIES, Granulation
 
 UNIFORM_UNIT_CUBE = "uniform-unit-cube"
 EMPIRICAL = "empirical"
-
-# reference rows per domination block: the (block, l, n) comparison is the
-# largest temporary of the empirical measure
-_REFERENCE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -107,11 +103,17 @@ def _require_unit_cube(points: np.ndarray) -> None:
 
 def _dominance_blocks(refs: np.ndarray, points: np.ndarray):
     """Per block of reference rows, which of them dominate each point
-    componentwise (block x l booleans)."""
+    componentwise (block x l booleans).
+
+    A block holds max(1, STACK_ENTRIES // (l * n)) reference rows, so its
+    (block, l, n) comparison, the largest temporary of the empirical
+    measure, stays near STACK_ENTRIES entries whatever the data's size.
+    """
     if refs.shape[1] != points.shape[1]:
         raise DataError("reference points dimension mismatch")
-    for start in range(0, refs.shape[0], _REFERENCE_BLOCK):
-        block = refs[start:start + _REFERENCE_BLOCK]
+    step = max(1, STACK_ENTRIES // (points.size or 1))
+    for start in range(0, refs.shape[0], step):
+        block = refs[start:start + step]
         yield np.all(block[:, None, :] >= points[None, :, :], axis=2)
 
 

@@ -95,7 +95,7 @@ def _cosine_similarity(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return (rows @ cols.T) / np.outer(row_lengths, col_lengths)
 
 
-def kernel_eval(spec: KernelSpec, x, x2, nodes: int = CRO_QUADRATURE_NODES) -> float:
+def kernel_eval(spec: KernelSpec, x, x2) -> float:
     """Evaluate the kernel on a single pair of vectors."""
     x = np.asarray(x, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
@@ -107,7 +107,7 @@ def kernel_eval(spec: KernelSpec, x, x2, nodes: int = CRO_QUADRATURE_NODES) -> f
         d2 = float(np.sum((x - x2) ** 2))
         return math.exp(-d2 / (2.0 * spec.delta * spec.delta))
     u = _cosine_similarity(x[None, :], x2[None, :])[0, 0]
-    return float(_cro_from_cosine(np.asarray(u), spec.cro_gamma, nodes))
+    return float(_cro_from_cosine(np.asarray(u), spec.cro_gamma, CRO_QUADRATURE_NODES))
 
 
 def row_norms(points: np.ndarray) -> np.ndarray:

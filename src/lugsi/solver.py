@@ -25,16 +25,17 @@ t as the targets), a sequence of gamma and an optional weight matrix W
 (None for the identity): sum_k v_k v_k^T weighting of the full design is
 the identity weighting of P. It forms the gamma-free products once and
 factors the shifted systems of all its gammas as stacks in one pass, each
-gamma bitwise as if solved alone; a single fit is its one-gamma case.
-`granulated_system` builds the system apart from gamma through
-`_design_rows`, the one design builder, and `fit_path` solves it at a
-set of gammas, so a cv grid builds and factors each system once for all
-its C. `fit_lssvm` and `fit_vsvm` build the system of
-`singleton_granulation` (one granule per row, in row order) with unit
-predicates, so P is the design itself, s = 1 and t = Y. `fit_lssvm`
-solves it with m = l, an effective regularizer gamma * l, and `fit_vsvm`,
-the dense reference for cross-checks, with W = V and m = 1. The full
-V-matrix is never materialized for a granulated fit.
+gamma bitwise as if solved alone. `granulated_system` builds the system
+apart from gamma through `_design_rows`, the one design builder, and
+`fit_path`, the one entry for a built system, solves it at a set of
+gammas: a cv grid builds and factors each system once for all its C, and
+`fit_linear_lugsi`, `fit_kernel_lugsi` and `fit_lssvm` build a system
+from their weights and solve it at one gamma. `fit_lssvm` and `fit_vsvm`
+build the system of `singleton_granulation` (one granule per row, in row
+order) with unit predicates, so P is the design itself, s = 1 and t = Y.
+`fit_lssvm` solves it with m = l, an effective regularizer gamma * l, and
+`fit_vsvm`, the dense reference for cross-checks, with W = V and m = 1.
+The full V-matrix is never materialized for a granulated fit.
 
 A fit refuses to start when its largest array would hold more than
 `errors.MAX_ARRAY_ENTRIES` entries: max(m, Gram block rows) x l for any kernel
@@ -149,16 +150,17 @@ _KINDS = {
 def _factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Cholesky solve with one refinement step; returns (z, condition hints).
 
-    M is one n x n system or a stack of them (..., n, n); rhs is n x c,
+    M is one n x n system (`solve_spd`) or a stack of them (..., n, n),
+    such as `_closed_form`'s stacks, a stack of one included; rhs is n x c,
     shared by every system, or one n x c per system. One `np.linalg.cholesky`
     factors the stack, and L is applied by block substitution: only its
-    diagonal blocks of `_SOLVE_BLOCK` rows are inverted, the full ones of
-    every system in one batched call, so a solve costs O(n^2) per system.
-    LAPACK and BLAS take each system as they would alone, so each member's
-    z is bitwise its solve alone, and a stack is as cheap as one system in
-    numpy calls. The hints, one per system, are the squared ratio of the
-    extreme diagonal entries of L, a cheap lower bound on the 2-norm
-    condition number.
+    diagonal blocks of `_SOLVE_BLOCK` rows are inverted, each block of the
+    whole stack in one call, so a solve costs O(n^2) per system. LAPACK and
+    BLAS take each system as they would alone, so each member's z is
+    bitwise its solve alone, and a stack is as cheap as one system in numpy
+    calls. The hints, one per system, are the squared ratio of the extreme
+    diagonal entries of L, a cheap lower bound on the 2-norm condition
+    number.
     """
     M = np.asarray(M, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -168,19 +170,10 @@ def _factor_solve(M: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, list[floa
         L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         raise NumericError("Cholesky failed: a leading minor is not positive definite") from None
-    n, stack = M.shape[-1], M.shape[:-2]
+    n = M.shape[-1]
     shape = M.shape[:-1] + rhs.shape[-1:]
     blocks = [slice(lo, min(lo + _SOLVE_BLOCK, n)) for lo in range(0, n, _SOLVE_BLOCK)]
-    # one batched inverse of the full diagonal blocks, then one of the shorter tail
-    full = n // _SOLVE_BLOCK
-    edge = full * _SOLVE_BLOCK
-    inverses = []
-    if full:
-        tiles = L[..., :edge, :edge].reshape(*stack, full, _SOLVE_BLOCK, full, _SOLVE_BLOCK)
-        diagonal = np.moveaxis(np.diagonal(tiles, axis1=-4, axis2=-2), -1, -3)
-        inverses.extend(np.moveaxis(np.linalg.inv(diagonal), -3, 0))
-    if edge < n:
-        inverses.append(np.linalg.inv(L[..., edge:, edge:]))
+    inverses = [np.linalg.inv(L[..., rows, rows]) for rows in blocks]
 
     def solve(r: np.ndarray) -> np.ndarray:
         y, z = np.empty(shape), np.empty(shape)
@@ -271,9 +264,7 @@ def _closed_form(
         # the very last system shifts the Gram in place: a one-gamma fit makes no copy
         M = gram[None] if len(shifts) - lo == 1 else np.repeat(gram[None], len(stack), axis=0)
         M.reshape(len(stack), n * n)[:, ::n + 1] += np.array(stack)[:, None]  # the diagonals
-        # a lone system goes in as n x n
-        z, hints = _factor_solve(M[0] if len(stack) == 1 else M, rhs)
-        z = z.reshape(M.shape[:-1] + rhs.shape[-1:])
+        z, hints = _factor_solve(M, rhs)
         for gamma, gamma_eff, M_k, z_k, cond in zip(gammas[lo:], stack, M, z, hints):
             half = D.T @ z_k if dual else z_k
             p_b, p_c = half[:, 0], half[:, 1]
@@ -365,9 +356,9 @@ class GranulatedSystem:
     design_k^T v_k, and the weights' sums s and targets t, with the training
     rows, granulation and kernel (None for linear) they were built from.
 
-    `granulated_system` builds it once; the fits solve it at any gamma, and
-    `fit_path` at many in one stacked solve, so a cv grid builds and
-    factors each (fold, m, delta) system once for all of its C values.
+    `granulated_system` builds it once, and `fit_path` solves it at any
+    set of gammas in one stacked solve, so a cv grid builds and factors
+    each (fold, m, delta) system once for all of its C values.
     """
 
     data: Dataset
@@ -398,36 +389,18 @@ def fit_path(
     """The regularization path of a built system: one (model, FitDiagnostics)
     per gamma of `gammas`, in order, factored in stacks (`_closed_form`).
 
-    Each gamma's fit is bitwise `fit_linear_lugsi` or `fit_kernel_lugsi` on
-    the same system at that gamma alone; the cv grid solves each
-    (fold, m, delta) system at all of its C values in one call.
+    Each gamma's fit is bitwise the system's fit at that gamma alone, which
+    is what `fit_linear_lugsi` and `fit_kernel_lugsi` return for its
+    weights; the cv grid solves each (fold, m, delta) system at all of its
+    C values in one call.
     """
     return _closed_form(system, gammas, system.granulation.m, scaling)
-
-
-def _granulated_fit(
-    data: Dataset,
-    granulation: Granulation,
-    weights: GranuleWeights | GranulatedSystem,
-    kernel: KernelSpec | None,
-    gamma: float,
-    scaling: ScalingParams | None,
-):
-    """Rank-one fit with one invariant per granule, in granule-index order:
-    the system of `weights` (built here unless given) solved at gamma."""
-    system = weights
-    if not isinstance(system, GranulatedSystem):
-        system = granulated_system(data, granulation, weights, kernel)
-    elif not (system.data is data and system.granulation is granulation
-              and system.kernel == kernel):
-        raise DataError("the system was built from other rows, granules or kernel")
-    return fit_path(system, [gamma], scaling)[0]
 
 
 def fit_linear_lugsi(
     data: Dataset,
     granulation: Granulation,
-    invariants: GranuleWeights | GranulatedSystem,
+    invariants: GranuleWeights,
     gamma: float,
     scaling: ScalingParams | None = None,
 ) -> tuple[LinearModel, FitDiagnostics]:
@@ -436,17 +409,16 @@ def fit_linear_lugsi(
     Solves (sum_k u_k u_k^T + gamma*m*I) applied to the two right-hand
     sides sum_k t_k u_k and sum_k s_k u_k, then recovers the bias from
     the accumulated bias stationarity equation. A near-zero bias
-    denominator falls back to b = 0 with the diagnostics flag set.
-    `invariants` may also be the `GranulatedSystem` of these rows and
-    granules, which is then solved without a rebuild.
+    denominator falls back to b = 0 with the diagnostics flag set. It is
+    the one-gamma `fit_path` of the `granulated_system` of these weights.
     """
-    return _granulated_fit(data, granulation, invariants, None, gamma, scaling)
+    return fit_path(granulated_system(data, granulation, invariants, None), [gamma], scaling)[0]
 
 
 def fit_kernel_lugsi(
     data: Dataset,
     granulation: Granulation,
-    invariants: GranuleWeights | GranulatedSystem,
+    invariants: GranuleWeights,
     kernel: KernelSpec,
     gamma: float,
     scaling: ScalingParams | None = None,
@@ -458,11 +430,10 @@ def fit_kernel_lugsi(
     m < l the solve is m x m, so the fit takes O(m * l) memory and never
     builds the l x l Gram. With m >= l the system is l x l. The budget
     `errors.MAX_ARRAY_ENTRIES` bounds max(m, Gram block rows) * l, so
-    with few granules l may go well past the l of an l x l budget.
-    `invariants` may also be the `GranulatedSystem` of these rows, granules
-    and kernel, which is then solved without a rebuild.
+    with few granules l may go well past the l of an l x l budget. Like the
+    linear fit, it is the one-gamma `fit_path` of the built system.
     """
-    return _granulated_fit(data, granulation, invariants, kernel, gamma, scaling)
+    return fit_path(granulated_system(data, granulation, invariants, kernel), [gamma], scaling)[0]
 
 
 def fit_lssvm(
@@ -481,7 +452,7 @@ def fit_lssvm(
     """
     granulation = singleton_granulation(data, seed)
     weights = unit_granule_invariants(data, granulation)
-    return _granulated_fit(data, granulation, weights, kernel, gamma, scaling)
+    return fit_path(granulated_system(data, granulation, weights, kernel), [gamma], scaling)[0]
 
 
 def fit_vsvm(

@@ -135,6 +135,22 @@ def reference_design_rows(X, order, ends, weights, kernel, blocks):
     return P
 
 
+def reference_cholesky_solve(M, rhs):
+    """Solve M z = rhs for symmetric positive definite M by forward and back
+    substitution one row at a time on the Cholesky factor L; also returns
+    the condition hint (max diag L / min diag L)^2."""
+    L = np.linalg.cholesky(M)
+    n = M.shape[0]
+    y = np.zeros_like(rhs)
+    for i in range(n):
+        y[i] = (rhs[i] - L[i, :i] @ y[:i]) / L[i, i]
+    z = np.zeros_like(rhs)
+    for i in reversed(range(n)):
+        z[i] = (y[i] - L[i + 1:, i] @ z[i + 1:]) / L[i, i]
+    diag = np.diag(L)
+    return z, float((diag.max() / diag.min()) ** 2)
+
+
 def _plain(value):
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()

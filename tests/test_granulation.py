@@ -71,10 +71,19 @@ class TestKmeansGranulate:
         assert a.centroids.tobytes() == b.centroids.tobytes()
         assert a.clustering_error == b.clustering_error
 
-    def test_error_trace_non_increasing(self):
+    def test_error_trace_non_increasing(self, monkeypatch):
+        # the clustering error after each assignment pass, read through _assign
         data = make_dataset(4, l=120, n=3)
         trace: list = []
-        kmeans_granulate(data, 5, seed=2, restarts=1, error_trace=trace)
+        assign = granulation._assign
+
+        def tracing(X, centroids, *buffers):
+            assignments = assign(X, centroids, *buffers)
+            trace.append(float(np.sum((X - centroids[0][assignments[0]]) ** 2)))
+            return assignments
+
+        monkeypatch.setattr(granulation, "_assign", tracing)
+        kmeans_granulate(data, 5, seed=2, restarts=1)
         assert len(trace) >= 2
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
@@ -173,14 +182,22 @@ class TestExactFastKmeans:
         with np.errstate(over="ignore"), pytest.raises(DataError, match="overflow"):
             kmeans_granulate(data, 3, seed)
 
-    def test_restarts_stop_at_zero_error(self):
+    def test_restarts_stop_at_zero_error(self, monkeypatch):
+        # the first stack reaches zero error, so no later stack is run: one
+        # stack of all ten restarts here, of one to two under TestEachStackSize
         data = make_dataset(9, l=30, n=3)
-        one_trace: list = []
-        ten_trace: list = []
-        one = kmeans_granulate(data, 30, seed=4, restarts=1, error_trace=one_trace)
-        ten = kmeans_granulate(data, 30, seed=4, restarts=10, error_trace=ten_trace)
+        one = kmeans_granulate(data, 30, seed=4, restarts=1)
+        stacks = []
+        lloyd = granulation._lloyd
+
+        def counting(X, columns, seeds, *buffers):
+            stacks.append(len(seeds))
+            return lloyd(X, columns, seeds, *buffers)
+
+        monkeypatch.setattr(granulation, "_lloyd", counting)
+        ten = kmeans_granulate(data, 30, seed=4, restarts=10)
         assert one.clustering_error == 0.0
-        assert ten_trace == one_trace
+        assert len(stacks) == 1
         assert ten.assignments.tobytes() == one.assignments.tobytes()
         assert ten.centroids.tobytes() == one.centroids.tobytes()
         assert ten.iterations_run == one.iterations_run
@@ -356,27 +373,6 @@ def test_one_size_rule_picks_the_path(single_seedings):
     assert granulation.STACK_ENTRIES // (1000 * 500) == 0
     assert_is_the_reference(alone, 500, 1, 3)
     assert single_seedings == [1, 1, 1]
-
-
-def test_error_trace_runs_the_restarts_one_by_one(monkeypatch):
-    # the wine-sized fold above runs stacks of 5 untraced; a trace caps them at 1
-    X = generate_ndc(142, 13, 10, seed=5).features
-    counts = []
-    seed_stack = granulation._seed_stack
-
-    def recording(X, m, rng, count, distance_rows):
-        counts.append(count)
-        return seed_stack(X, m, rng, count, distance_rows)
-
-    monkeypatch.setattr(granulation, "_seed_stack", recording)
-    trace: list = []
-    g = kmeans_granulate(Dataset(X, np.arange(142) % 2), 89, 5, restarts=3, error_trace=trace)
-    assignments, centroids, _, error, iterations = reference_kmeans(X, 89, 5, 3)
-    assert counts == [1, 1, 1]
-    assert g.assignments.tobytes() == assignments.tobytes()
-    assert g.centroids.tobytes() == centroids.tobytes()
-    assert (g.clustering_error, g.iterations_run) == (error, iterations)
-    assert min(trace) == error
 
 
 def multi_block_cases():

@@ -21,7 +21,7 @@ from lugsi import (
     v_matrix,
     v_value,
 )
-from lugsi import errors
+from lugsi import errors, granulation, invariants
 
 
 class TestVValue:
@@ -295,7 +295,11 @@ class TestVMatrix:
 class TestEmpiricalMeasureBlocks:
     """Domination counts accumulate over blocks of reference rows."""
 
-    def test_counts_across_blocks_match_dense(self, rng):
+    # 300 reference rows in one block of 546, blocks of 5 (of 200 for one
+    # point), and one row per block
+    @pytest.mark.parametrize("entries", [granulation.STACK_ENTRIES, 600, 1])
+    def test_counts_across_blocks_match_dense(self, monkeypatch, rng, entries):
+        monkeypatch.setattr(invariants, "STACK_ENTRIES", entries)
         data = Dataset(np.round(rng.random((40, 3)), 1), rng.integers(0, 2, 40))
         refs = np.round(rng.random((300, 3)), 1)
         measure = MeasureSpec.empirical(refs)
@@ -321,6 +325,15 @@ class TestEmpiricalMeasureBlocks:
         measure = MeasureSpec.empirical(data.features)
         peak = traced_peak(build, data, measure)
         assert peak < bound_mb * 1e6
+
+    def test_block_temporary_does_not_grow_with_the_data(self, rng):
+        # a block of 128 reference rows would hold a 12 MB boolean
+        # temporary at 3000 x 32; one of STACK_ENTRIES // (l * n) holds 96 KB
+        data = random_binary_dataset(rng, 3000, 32)
+        g = kmeans_granulate(data, 1, 0, restarts=1)
+        measure = MeasureSpec.empirical(data.features)
+        peak = traced_peak(granule_v_vectors, data, g, measure)
+        assert peak < 1e6
 
 
 class TestRankOneIdentity:

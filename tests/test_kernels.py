@@ -13,6 +13,7 @@ from lugsi.kernels import (
     CRO_QUADRATURE_NODES,
     DISTANCE_BLOCK_ENTRIES,
     _cosine_similarity,
+    _cro_from_cosine,
 )
 
 
@@ -86,8 +87,11 @@ class TestKernelEval:
             spec = KernelSpec("cro", cro_gamma=gamma)
             a = rng.standard_normal(6)
             b = rng.standard_normal(6)
-            v64 = kernel_eval(spec, a, b, nodes=64)
-            v128 = kernel_eval(spec, a, b, nodes=128)
+            u = _cosine_similarity(a[None, :], b[None, :])[0, 0]
+            # kernel_eval always takes CRO_QUADRATURE_NODES (64) nodes
+            v64 = float(_cro_from_cosine(np.asarray(u), gamma, CRO_QUADRATURE_NODES))
+            v128 = float(_cro_from_cosine(np.asarray(u), gamma, 2 * CRO_QUADRATURE_NODES))
+            assert kernel_eval(spec, a, b) == v64
             worst = max(worst, abs(v64 - v128))
         assert worst < 1e-8
 

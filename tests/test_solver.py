@@ -17,6 +17,7 @@ from oracles import (
     explicit_objective_kernel,
     explicit_objective_linear,
     fd_gradient_norm,
+    reference_cholesky_solve,
     reference_design_rows,
 )
 
@@ -521,21 +522,19 @@ class TestDiagnostics:
         assert 0 < linear_dual < 40
 
 
-@pytest.mark.parametrize("m", [63, 64, 65, 129, 500])
-def test_batched_block_inverse_solves_like_the_per_block_inverse(monkeypatch, m):
-    gen = np.random.default_rng(m)
-    A = gen.standard_normal((m, m))
-    M = A @ A.T + m * np.eye(m)
-    rhs = gen.standard_normal((m, 2))
-    batched, _ = solver._factor_solve(M, rhs)
-    inv = np.linalg.inv
-
-    def per_block(a):
-        return np.array([inv(block) for block in a]) if a.ndim == 3 else inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", per_block)
-    one_by_one, _ = solver._factor_solve(M, rhs)
-    assert batched.tobytes() == one_by_one.tobytes()
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 500])
+def test_factor_solve_matches_the_substitution_oracle(n):
+    # a stack of two systems, so each 64-row block is inverted over the stack
+    gen = np.random.default_rng(n)
+    A = gen.standard_normal((2, n, n))
+    M = A @ A.swapaxes(1, 2) + n * np.eye(n)
+    rhs = gen.standard_normal((n, 2))
+    z, hints = solver._factor_solve(M, rhs)
+    assert z.shape == (2, n, 2) and len(hints) == 2
+    for M_k, z_k, hint in zip(M, z, hints):
+        want, want_hint = reference_cholesky_solve(M_k, rhs)
+        assert np.max(np.abs(z_k - want)) <= 1e-12 * np.max(np.abs(want))
+        assert hint == want_hint
 
 
 class TestStackedSolve:
@@ -563,11 +562,7 @@ class TestStackedSolve:
 
     @staticmethod
     def alone(system, gamma, scaling):
-        if system.kernel is None:
-            return fit_linear_lugsi(system.data, system.granulation, system, gamma, scaling)
-        return fit_kernel_lugsi(
-            system.data, system.granulation, system, system.kernel, gamma, scaling
-        )
+        return solver.fit_path(system, [gamma], scaling)[0]
 
     @pytest.mark.parametrize("d", [63, 64, 65, 129])
     @pytest.mark.parametrize("side", ["primal", "dual"])
@@ -608,7 +603,7 @@ class TestStackedSolve:
         assert stacks == [(6, 63, 63)]
         stacks.clear()
         solver.fit_path(self.system("linear", "primal", 63), self.GAMMAS[:1], None)
-        assert stacks == [(63, 63)]
+        assert stacks == [(1, 63, 63)]
 
     @staticmethod
     def failure(M, rhs) -> str:
@@ -652,20 +647,12 @@ class TestGranulatedSystem:
         assert not system.P.flags.writeable
         for gamma in (0.01, 1.0, 64.0):
             if kernel is None:
-                fits = [fit_linear_lugsi(data, g, w, gamma) for w in (weights, system)]
+                want, want_diag = fit_linear_lugsi(data, g, weights, gamma)
             else:
-                fits = [fit_kernel_lugsi(data, g, w, kernel, gamma) for w in (weights, system)]
-            (want, want_diag), (got, got_diag) = fits
+                want, want_diag = fit_kernel_lugsi(data, g, weights, kernel, gamma)
+            got, got_diag = solver.fit_path(system, [gamma], None)[0]
             assert dump_document(model_document(got)) == dump_document(model_document(want))
             assert got_diag == want_diag
-
-    def test_system_of_another_kernel_is_refused(self, fold):
-        data, g, weights = fold
-        system = solver.granulated_system(data, g, weights, KernelSpec("rbf", delta=0.5))
-        with pytest.raises(DataError, match="other rows, granules or kernel"):
-            fit_kernel_lugsi(data, g, system, KernelSpec("rbf", delta=2.0), 1.0)
-        with pytest.raises(DataError, match="other rows, granules or kernel"):
-            fit_linear_lugsi(data, g, system, 1.0)
 
 
 class TestDesignRows:
@@ -702,7 +689,7 @@ class TestSolveSides:
         factor_solve = solver._factor_solve
 
         def recording(M, rhs):
-            dims.append(M.shape[0])
+            dims.append(M.shape[-1])
             return factor_solve(M, rhs)
 
         monkeypatch.setattr(solver, "_factor_solve", recording)

@@ -62,6 +62,9 @@ train linear wine.csv --clusters 7
 train rbf wine.csv --clusters 7 --kernel rbf --delta 0.5
 train cro wine.csv --clusters 7 --kernel cro --cro-gamma 0.3
 train empirical wine.csv --clusters 178 --measure empirical
+# the empirical measure on 2500 x 8 rows: its dominance counts run in
+# blocks of a few reference rows each
+train empirical_ndc ndc.csv --clusters 50 --measure empirical
 train rbf_ndc ndc.csv --clusters 7 --kernel rbf
 # a 200 x 200 system: the solve substitutes over several 64-row blocks
 train rbf_ndc_200 ndc.csv --clusters 200 --kernel rbf
